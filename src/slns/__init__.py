@@ -9,24 +9,18 @@ filter pair for the alpha model). Viscosity acts only through the noise
 amplitude; no diffusion operator is ever applied.
 """
 
-from .errors import CFLViolation, ConfigError, NonInvertible, SLNSError
+from .errors import CFLViolation, ConfigError, NonFiniteVelocity, NonInvertible, SLNSError
 from .flowmap import FlowEnsemble, invert_core, spde_residual, spde_residual_flows
 from .grid import Field, PeriodicGrid, l2_inner
 from .interp import FieldInterpolator, interpolate
 from .recovery import (
     ForcingAccumulator,
-    accumulate_forcing,
     burgers_velocity,
-    burgers_velocity_field,
     circulation,
-    lans_alpha_velocity,
     stochastic_velocity,
     transported_vorticity_2d,
     transported_vorticity_3d,
-    vorticity_2d_field,
-    vorticity_3d_field,
     weber_velocity,
-    weber_velocity_field,
 )
 from .snapshots import export_csv, read_snapshot, write_snapshot
 from .solver import (
@@ -60,6 +54,7 @@ __all__ = [
     "FieldInterpolator",
     "FlowEnsemble",
     "ForcingAccumulator",
+    "NonFiniteVelocity",
     "NonInvertible",
     "PeriodicGrid",
     "RunResult",
@@ -68,9 +63,7 @@ __all__ = [
     "SpectralWorkspace",
     "StochasticSolver",
     "WienerEnsemble",
-    "accumulate_forcing",
     "burgers_velocity",
-    "burgers_velocity_field",
     "circulation",
     "convergence_study",
     "curl",
@@ -81,7 +74,6 @@ __all__ = [
     "interpolate",
     "invert_core",
     "l2_inner",
-    "lans_alpha_velocity",
     "laplacian",
     "leray_project",
     "oracle_solution",
@@ -92,10 +84,7 @@ __all__ = [
     "stochastic_velocity",
     "transported_vorticity_2d",
     "transported_vorticity_3d",
-    "vorticity_2d_field",
-    "vorticity_3d_field",
     "weber_velocity",
-    "weber_velocity_field",
     "workspace",
     "write_snapshot",
 ]

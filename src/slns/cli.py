@@ -4,7 +4,7 @@ Subcommands: ``run`` (execute a config), ``compare`` (diff a finished run
 directory against an oracle), ``convergence`` (refinement studies),
 ``info`` (environment and registry listing). ``--workers`` falls back to
 the ``SLNS_WORKERS`` environment variable. Exit codes: 1 config/usage
-problems, 2 CFL violation, 3 failed map inversion.
+problems, 2 CFL violation, 3 failed map inversion, 4 non-finite velocity.
 """
 
 from __future__ import annotations

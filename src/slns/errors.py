@@ -27,3 +27,10 @@ class NonInvertible(SLNSError):
     """
 
     exit_code = 3
+
+
+class NonFiniteVelocity(SLNSError):
+    """The velocity holds a NaN or an infinity, at the start of a step or
+    after a Picard pass's recovery."""
+
+    exit_code = 4

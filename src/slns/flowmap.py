@@ -36,6 +36,7 @@ from .spectral import (
     SpectralWorkspace,
     gradient_values,
     laplacian_values,
+    shift_mean_multiplier,
     workspace,
 )
 
@@ -164,6 +165,12 @@ class FlowEnsemble:
     ``mode == "shared"``: ``xi``/``beta`` have shape ``(d,) + grid.shape``
     and apply to every realization; ``mode == "general"``: shape
     ``(M, d) + grid.shape``. ``shifts`` always has shape ``(M, d)``.
+
+    ``chi`` caches the empirical characteristic function of ``shifts``
+    (None until :meth:`shift_multiplier` first builds it); ensembles
+    advanced from one parent with the same noise have equal shifts and may
+    be handed one ``chi``. ``_cores`` holds the shared-mode recovery cores
+    composed on this ensemble's inverse map (see ``recovery._recover``).
     """
 
     def __init__(
@@ -189,7 +196,8 @@ class FlowEnsemble:
         self.steps_in_window = 0
         self.window_id = 0
         self.time_in_window = 0.0
-        self._chi = None
+        self.chi: np.ndarray | None = None
+        self._cores: dict = {}
 
     # -- representation helpers ------------------------------------------
 
@@ -208,7 +216,8 @@ class FlowEnsemble:
         new.steps_in_window = self.steps_in_window
         new.window_id = self.window_id
         new.time_in_window = self.time_in_window
-        new._chi = None
+        new.chi = None
+        new._cores = {}
         return new
 
     def reset(self) -> None:
@@ -221,7 +230,8 @@ class FlowEnsemble:
         self.steps_in_window = 0
         self.window_id += 1
         self.time_in_window = 0.0
-        self._chi = None
+        self.chi = None
+        self._cores = {}
 
     def xi_general(self) -> np.ndarray:
         """Periodic core displacements as ``(M, d) + shape`` regardless of mode."""
@@ -303,6 +313,7 @@ class FlowEnsemble:
     def invert(self) -> None:
         """Compute back-to-labels displacements by damped Newton on the
         periodic core of each realization."""
+        self._cores = {}
         if self.mode == "shared":
             self.beta = invert_core(
                 self.grid, self.xi, self.order, self.tol, self.max_newton
@@ -357,11 +368,9 @@ class FlowEnsemble:
     def shift_multiplier(self, ws: SpectralWorkspace) -> np.ndarray:
         """Cached empirical characteristic function of this ensemble's
         uniform shifts (the translate-averaging multiplier)."""
-        if self._chi is None:
-            from .spectral import shift_mean_multiplier
-
-            self._chi = shift_mean_multiplier(self.shifts, ws)
-        return self._chi
+        if self.chi is None:
+            self.chi = shift_mean_multiplier(self.shifts, ws)
+        return self.chi
 
     def max_det_deviation(self) -> float:
         """``max |det(grad X) - 1|`` over grid and realizations, without

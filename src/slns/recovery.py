@@ -116,6 +116,7 @@ def _recover(
     per_realization_labels = label_values.ndim == grid.dim + 2
     if flow.mode == "shared" and not per_realization_labels:
         core = _compose_core(flow, label_values, weber)
+        flow._cores[weber] = (label_values, core)
         if project:
             core = project_values(core, ws)
         if not flow.shifts.any():
@@ -153,11 +154,18 @@ def probe_spread(
 
     Used for the Monte Carlo standard-error diagnostic; projection is
     omitted (the unprojected integrand carries the same sampling spread).
+    In shared mode the core that the last recovery on ``flow`` composed
+    from this same label array is reused, so ``label_values`` must not
+    have been modified in place since.
     """
     grid = flow.grid
     d = grid.dim
     if flow.mode == "shared" and label_values.ndim == d + 1:
-        core = _compose_core(flow, label_values, weber)
+        cached = flow._cores.get(weber)
+        if cached is not None and cached[0] is label_values:
+            core = cached[1]
+        else:
+            core = _compose_core(flow, label_values, weber)
         interp = FieldInterpolator(grid, core, order=flow.order)
         # realization m sees the core at (p - s_m)
         pts = probes[None, :, :] - flow.shifts[:, :, None]  # (M, d, P)
@@ -239,30 +247,6 @@ def filtered_velocity_pair(
         return v, v
     u = helmholtz_values(v, alpha, workspace(flow.grid))
     return v, u
-
-
-# Field-level wrappers -------------------------------------------------------
-
-
-def weber_velocity_field(flow: FlowEnsemble, u0: Field) -> Field:
-    return Field(u0.grid, weber_velocity(flow, u0), validate=False)
-
-
-def burgers_velocity_field(flow: FlowEnsemble, u0: Field) -> Field:
-    return Field(u0.grid, burgers_velocity(flow, u0), validate=False)
-
-
-def vorticity_2d_field(flow: FlowEnsemble, omega0: Field) -> Field:
-    return Field(omega0.grid, transported_vorticity_2d(flow, omega0), validate=False)
-
-
-def vorticity_3d_field(flow: FlowEnsemble, omega0: Field) -> Field:
-    return Field(omega0.grid, transported_vorticity_3d(flow, omega0), validate=False)
-
-
-def lans_alpha_velocity(flow: FlowEnsemble, u0: Field, alpha: float) -> tuple[Field, Field]:
-    v, u = filtered_velocity_pair(flow, u0, alpha)
-    return Field(u0.grid, v, validate=False), Field(u0.grid, u, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -351,19 +335,6 @@ class ForcingAccumulator:
         elif inc.ndim < vals.ndim:
             inc = np.broadcast_to(inc, vals.shape[:1] + inc.shape)
         return ForcingAccumulator(self.grid, vals + dt * inc, self.kind)
-
-
-def accumulate_forcing(
-    acc: ForcingAccumulator,
-    flow: FlowEnsemble,
-    forcing,
-    t: float,
-    dt: float,
-    scheme: str = "left",
-    flow_end: FlowEnsemble | None = None,
-) -> ForcingAccumulator:
-    """Functional wrapper around :meth:`ForcingAccumulator.advanced`."""
-    return acc.advanced(flow, forcing, t, dt, scheme, flow_end)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CFLViolation, ConfigError
+from .errors import CFLViolation, ConfigError, NonFiniteVelocity
 from .flowmap import FlowEnsemble
 from .grid import Field, PeriodicGrid
 from .recovery import (
@@ -366,6 +366,16 @@ class StochasticSolver:
             )
         return out
 
+    def _max_speed(self, u_values: np.ndarray) -> float:
+        """``max |u|``; a NaN or infinity ends the step with a typed error
+        (it would pass the CFL comparison and fail later in interpolation)."""
+        umax = float(np.max(np.abs(u_values)))
+        if not np.isfinite(umax):
+            raise NonFiniteVelocity(
+                f"step {self.step_index}: velocity is not finite (|u|max={umax})"
+            )
+        return umax
+
     def velocity_field(self) -> Field:
         return Field(self.grid, self.u_values.copy(), validate=False)
 
@@ -382,7 +392,7 @@ class StochasticSolver:
     def step(self) -> None:
         cfg = self.config
         t_start = _time.perf_counter()
-        umax = float(np.max(np.abs(self.u_values)))
+        umax = self._max_speed(self.u_values)
         cfl = cfg.dt * umax / self.grid.spacing
         if cfl > cfg.cfl_max:
             raise CFLViolation(
@@ -403,12 +413,16 @@ class StochasticSolver:
         u_prev_pass: np.ndarray | None = None
         trial = self.flow
         label_u = self.labels_u
+        chi = None
         for it in range(cfg.picard_iters):
             # Correction passes integrate the time-averaged drift along the
             # characteristic (two-stage update): plain re-advancing with an
             # averaged drift field would leave an O(dt) bias per unit time.
             stages = self._stages if it == 0 else 2
             trial = self.flow.advanced(drift, cfg.dt, noise, stages=stages)
+            # every pass adds the same noise to the same shifts, so the
+            # characteristic function built by the first pass serves all
+            trial.chi = chi
             trial.invert()
             if self.forcing is not None and cfg.forcing_quadrature == "trapezoid":
                 phi_candidate = self.acc.advanced(
@@ -416,7 +430,9 @@ class StochasticSolver:
                 )
             label_u = phi_candidate.values if phi_candidate is not None else self.labels_u
             v_new = self._recover(trial, label_u)
+            chi = trial.chi
             u_new = self._drift_from_momentum(v_new)
+            self._max_speed(u_new)
             if (
                 u_prev_pass is not None
                 and cfg.picard_tol > 0.0

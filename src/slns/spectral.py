@@ -164,16 +164,22 @@ def translate_values(values: np.ndarray, shift: np.ndarray, ws: SpectralWorkspac
 def _phase_ladder(shift_axis: np.ndarray, n: int, scale: float, half: bool) -> np.ndarray:
     """``exp(-i k c)`` for all harmonics ``k`` of one axis, shape ``(nk, M)``.
 
-    Built from one exponential per realization and cumulative products
-    (the wavenumbers are integer multiples of ``scale``), which is an
-    order of magnitude cheaper than exponentiating every (k, m) pair.
+    Built from one exponential per realization (the wavenumbers are integer
+    multiples of ``scale``) by doubling: rows ``0 .. L-1`` times harmonic
+    ``L`` give rows ``L .. 2L-1``. That is ``log2(n/2)`` contiguous
+    vectorized products, and the rounding error grows with the number of
+    doublings rather than with the harmonic.
     """
     m = shift_axis.shape[0]
     n2 = n // 2
     powers = np.empty((n2 + 1, m), dtype=complex)
     powers[0] = 1.0
-    unit = np.exp(-1j * scale * shift_axis)
-    np.cumprod(np.broadcast_to(unit, (n2, m)), axis=0, out=powers[1:])
+    powers[1] = np.exp(-1j * scale * shift_axis)
+    filled = 2
+    while filled <= n2:
+        h = min(filled, n2 + 1 - filled)
+        np.multiply(powers[:h], powers[filled - 1] * powers[1], out=powers[filled : filled + h])
+        filled += h
     if half:
         return powers  # rfft axis: harmonics 0 .. n/2
     neg = np.conj(powers[np.arange(n2, 0, -1)])  # -n/2 .. -1

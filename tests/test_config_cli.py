@@ -150,6 +150,13 @@ class TestCLI:
                      "--set", "run.inversion_tol_factor=1e-15"])
         assert code == 3
 
+    def test_non_finite_velocity_exit_4(self, tmp_path, capsys):
+        # a NaN force makes the first recovered velocity NaN
+        nan_force = "\n[forcing]\nname = steady_taylor_green\namplitude = nan\n"
+        p = write_cfg(tmp_path, TG_CFG + nan_force)
+        assert main(["run", str(p)]) == 4
+        assert "not finite" in capsys.readouterr().err
+
     def test_compare_gates_pass_and_fail(self, tmp_path, capsys):
         p = write_cfg(tmp_path, BURGERS_CFG)
         main(["run", str(p)])

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import fit_order
-from slns.errors import CFLViolation, ConfigError, NonInvertible
+import slns.flowmap
+from slns.errors import CFLViolation, ConfigError, NonFiniteVelocity, NonInvertible
+from slns.flowmap import FlowEnsemble
 from slns.grid import Field, PeriodicGrid
 from slns.reference import (
     cole_hopf_burgers,
@@ -158,6 +160,14 @@ class TestSolverInvariants:
         with pytest.raises(NonInvertible):
             run(cfg)
 
+    def test_nan_velocity_raises_typed_error(self):
+        solver = StochasticSolver(tg_config(n=32, realizations=4, t_end=0.01))
+        solver.u_values = solver.u_values.copy()
+        solver.u_values[0, 3, 5] = np.nan
+        with pytest.raises(NonFiniteVelocity) as exc:
+            solver.step()
+        assert exc.value.exit_code == 4
+
     def test_partial_outputs_flushed_on_abort(self, tmp_path):
         out = tmp_path / "aborted"
         cfg = tg_config(dt=0.05, t_end=0.25, cfl_max=1e-6, output_dir=str(out))
@@ -174,6 +184,38 @@ class TestSolverInvariants:
             res = run(tg_config(nu=nu, realizations=64, t_end=0.05, seed=5))
             errs.append((res.velocity - euler.velocity).max_norm())
         assert errs[0] < errs[1] < errs[2]
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestPicardPasses:
+    def test_characteristic_function_built_once_per_step(self, monkeypatch):
+        calls = _count_calls(monkeypatch, slns.flowmap, "shift_mean_multiplier")
+        solver = StochasticSolver(burgers_config(reset_interval=1, picard_iters=2))
+        solver.step()
+        assert len(calls) == 1
+
+    def test_tolerance_ends_loop_after_second_pass(self, monkeypatch):
+        passes = _count_calls(monkeypatch, FlowEnsemble, "advanced")
+        cfg = tg_config(n=32, realizations=8, picard_iters=5, picard_tol=1e30)
+        StochasticSolver(cfg).step()
+        assert len(passes) == 2
+
+    def test_zero_tolerance_runs_every_pass(self, monkeypatch):
+        passes = _count_calls(monkeypatch, FlowEnsemble, "advanced")
+        cfg = tg_config(n=32, realizations=8, picard_iters=5, picard_tol=0.0)
+        StochasticSolver(cfg).step()
+        assert len(passes) == 5
 
 
 class TestBurgersSolver:

@@ -12,6 +12,7 @@ from slns.spectral import (
     laplacian,
     leray_project,
     mean_translates,
+    shift_mean_multiplier,
     translate_values,
     workspace,
 )
@@ -166,3 +167,18 @@ class TestTranslation:
             [translate_values(f.values, s, ws) for s in shifts], axis=0
         )
         assert np.max(np.abs(fast - slow)) <= 1e-12
+
+
+class TestShiftMeanMultiplier:
+    @pytest.mark.parametrize("dim,n", [(1, 256), (2, 64), (3, 16)])
+    def test_matches_direct_sum(self, dim, n):
+        # shifts spread over several periods reach large phases, and the
+        # comparison covers negative and Nyquist harmonics on every axis
+        grid = PeriodicGrid(dim, n, 2 * np.pi)
+        ws = workspace(grid)
+        shifts = np.random.default_rng(dim).normal(0.0, grid.length, (48, dim))
+        phase = sum(ws.k_full[j][..., None] * shifts[:, j] for j in range(dim))
+        direct = np.exp(-1j * phase).mean(axis=-1)
+        chi = shift_mean_multiplier(shifts, ws)
+        assert chi.shape == ws.spectral_shape
+        assert np.max(np.abs(chi - direct)) <= 1e-12
