@@ -24,7 +24,7 @@ from . import __version__
 from .config import compare_gates, load_config, save_effective
 from .errors import ConfigError, SLNSError
 from .grid import Field
-from .reference import cole_hopf_burgers, spectral_ns_run
+from .reference import spectral_ns_run
 from .snapshots import read_snapshot
 from .solver import (
     BACKENDS,
@@ -210,13 +210,10 @@ def _oracle_field(config, t: float, oracle: str) -> Field:
     if oracle == "cole_hopf":
         if config.equation != "burgers" or config.dim != 1 or config.initial != "sine_mode":
             raise ConfigError("cole_hopf comparison needs a 1D burgers run with a sine initial")
-        grid = config.grid()
-        x = grid.axis()
-        mode = config.initial_params.get("mode", 1)
-        amp = config.initial_params.get("amplitude", 1.0)
-        k = 2.0 * np.pi * mode / config.length
-        vals = cole_hopf_burgers(-(amp / k) * np.cos(k * x), config.length, config.nu, t, x)
-        return Field(grid, vals[np.newaxis])
+        ref = oracle_solution(config, t)
+        if ref is None:
+            raise ConfigError("cole_hopf comparison needs nu > 0")
+        return ref
     if oracle == "spectral_ns":
         if config.equation not in ("navier_stokes", "euler"):
             raise ConfigError("spectral_ns comparison needs an incompressible run")

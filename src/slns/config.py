@@ -71,7 +71,6 @@ _RUN_KEYS = {
     "cfl_max": float,
     "inversion_tol_factor": float,
     "newton_max_iter": int,
-    "reduction": str,
     "workers": int,
     "substeps": int,
     "track_vorticity": bool,

@@ -26,6 +26,8 @@ construction ``X = Y + W`` with ``Y' = u(Y + W)``.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .errors import NonInvertible
@@ -169,8 +171,10 @@ class FlowEnsemble:
     ``chi`` caches the empirical characteristic function of ``shifts``
     (None until :meth:`shift_multiplier` first builds it); ensembles
     advanced from one parent with the same noise have equal shifts and may
-    be handed one ``chi``. ``_cores`` holds the shared-mode recovery cores
-    composed on this ensemble's inverse map (see ``recovery._recover``).
+    be handed one ``chi``. ``_integrands`` maps the ``weber`` flag to the
+    last recovery integrand built on this ensemble's inverse map and the
+    label array it was built from (see ``recovery._integrand``): the core
+    ``(c,) + shape`` when map and labels are shared, else ``(M, c) + shape``.
     """
 
     def __init__(
@@ -197,27 +201,15 @@ class FlowEnsemble:
         self.window_id = 0
         self.time_in_window = 0.0
         self.chi: np.ndarray | None = None
-        self._cores: dict = {}
+        self._integrands: dict = {}
 
     # -- representation helpers ------------------------------------------
 
     def _spawn(self) -> "FlowEnsemble":
-        new = FlowEnsemble.__new__(FlowEnsemble)
-        new.grid = self.grid
-        new.m = self.m
-        new.order = self.order
-        new.tol = self.tol
-        new.max_newton = self.max_newton
-        new.workers = self.workers
-        new.mode = self.mode
-        new.xi = self.xi
-        new.shifts = self.shifts
+        new = copy.copy(self)
         new.beta = None
-        new.steps_in_window = self.steps_in_window
-        new.window_id = self.window_id
-        new.time_in_window = self.time_in_window
         new.chi = None
-        new._cores = {}
+        new._integrands = {}
         return new
 
     def reset(self) -> None:
@@ -231,7 +223,7 @@ class FlowEnsemble:
         self.window_id += 1
         self.time_in_window = 0.0
         self.chi = None
-        self._cores = {}
+        self._integrands = {}
 
     def xi_general(self) -> np.ndarray:
         """Periodic core displacements as ``(M, d) + shape`` regardless of mode."""
@@ -313,7 +305,7 @@ class FlowEnsemble:
     def invert(self) -> None:
         """Compute back-to-labels displacements by damped Newton on the
         periodic core of each realization."""
-        self._cores = {}
+        self._integrands = {}
         if self.mode == "shared":
             self.beta = invert_core(
                 self.grid, self.xi, self.order, self.tol, self.max_newton

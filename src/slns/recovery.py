@@ -12,9 +12,10 @@ optionally weight by a map gradient, project, average":
 In the shared representation (all realizations are uniform translates of
 one core map) each formula is evaluated once on the core and the ensemble
 average becomes a single spectral multiplier, the empirical characteristic
-function of the shifts. In the general representation every realization is
-evaluated separately and reduced in fixed index order, so results never
-depend on worker scheduling.
+function of the shifts. In the general representation the integrand is
+evaluated per realization and averaged with ``mean(axis=0)``. Either way
+one routine, :func:`_integrand`, builds the integrand and keeps it on the
+flow, so the per-realization diagnostics read it instead of rebuilding it.
 """
 
 from __future__ import annotations
@@ -34,22 +35,8 @@ from .spectral import (
 )
 
 
-def reduce_mean(values: np.ndarray, reduction: str = "pairwise") -> np.ndarray:
-    """Ensemble mean over axis 0. ``pairwise`` uses numpy's pairwise
-    summation; ``sequential`` accumulates in strict index order for
-    bit-reproducible sums regardless of BLAS/numpy version."""
-    if reduction == "pairwise":
-        return values.mean(axis=0)
-    if reduction == "sequential":
-        acc = values[0].astype(np.float64).copy()
-        for i in range(1, values.shape[0]):
-            acc += values[i]
-        return acc / values.shape[0]
-    raise ValueError(f"unknown reduction {reduction!r}")
-
-
 # ---------------------------------------------------------------------------
-# core evaluation on one label window
+# the recovery integrand on one label window
 # ---------------------------------------------------------------------------
 
 
@@ -57,93 +44,75 @@ def _label_array(label) -> np.ndarray:
     return label.values if isinstance(label, Field) else np.asarray(label)
 
 
-def _compose_core(flow: FlowEnsemble, label_values: np.ndarray, weber: bool) -> np.ndarray:
-    """Shared mode: evaluate the recovery integrand on the core map.
+def _integrand(flow: FlowEnsemble, label_values: np.ndarray, weber: bool) -> np.ndarray:
+    """``u0 o A``, weighted by ``grad^T A`` when ``weber`` is set.
 
-    Returns ``(c,) + shape``; realization ``m`` of the integrand is this
-    field translated by ``flow.shifts[m]``.
-    """
-    grid = flow.grid
-    d = grid.dim
-    beta = flow._require_beta()
-    pts = (grid.coordinates() + beta).reshape(d, -1)
-    vals = FieldInterpolator(grid, label_values, order=flow.order).at(pts)
-    vals = vals.reshape((label_values.shape[0],) + grid.shape)
-    if not weber:
-        return vals
-    grad_beta = gradient_values(beta, workspace(grid))  # [j, i] = d_i beta_j
-    return vals + np.einsum("ji...,j...->i...", grad_beta, vals)
-
-
-def _integrand_general(flow: FlowEnsemble, label_values: np.ndarray, weber: bool) -> np.ndarray:
-    """General mode: per-realization integrand values, ``(M, c) + shape``.
-
-    ``label_values`` may be shared ``(c,) + shape`` or per-realization
+    With a shared flow and shared labels ``(c,) + shape`` the displacement
+    is the core inverse ``beta`` and the result is the core ``(c,) + shape``;
+    realization ``m`` of the integrand is that field translated by
+    ``flow.shifts[m]``. Otherwise it is ``flow.alpha_general()`` and the
+    result is ``(M, c) + shape``; labels may then also be per-realization
     ``(M, c) + shape`` (accumulated forcing).
+
+    The result is kept on ``flow`` (cleared by ``invert``/``reset``) and
+    returned again for the same label array, so ``label_values`` must not
+    be modified in place afterwards, and callers must not modify the result.
     """
+    cached = flow._integrands.get(weber)
+    if cached is not None and cached[0] is label_values:
+        return cached[1]
     grid = flow.grid
     d = grid.dim
-    alpha = flow.alpha_general()
-    coords = grid.coordinates().reshape(1, d, -1)
-    pts = alpha.reshape(flow.m, d, -1) + coords
-    if label_values.ndim == d + 1:
-        flat = np.moveaxis(pts, 1, 0).reshape(d, -1)
+    c = label_values.shape[-d - 1]
+    shared_labels = label_values.ndim == d + 1
+    if flow.mode == "shared" and shared_labels:
+        disp, lead, prefix = flow._require_beta(), (), ""
+    else:
+        disp, lead, prefix = flow.alpha_general(), (flow.m,), "m"
+    pts = disp.reshape(lead + (d, -1)) + grid.coordinates().reshape(d, -1)
+    if shared_labels:
+        # one interpolator over the points of every realization
+        flat = np.moveaxis(pts, -2, 0).reshape(d, -1)
         vals = FieldInterpolator(grid, label_values, order=flow.order).at(flat)
-        c = label_values.shape[0]
-        vals = np.moveaxis(vals.reshape(c, flow.m, -1), 0, 1)
-        vals = vals.reshape((flow.m, c) + grid.shape)
+        vals = np.moveaxis(vals.reshape((c,) + lead + (-1,)), 0, -2)
     else:
         vals = interpolate_batch(
             grid, label_values, pts, order=flow.order, workers=flow.workers
         )
-        vals = vals.reshape((flow.m, label_values.shape[1]) + grid.shape)
-    if not weber:
-        return vals
-    grad_alpha = gradient_values(alpha, workspace(grid))  # [m, j, i] = d_i alpha_j
-    return vals + np.einsum("mji...,mj...->mi...", grad_alpha, vals)
+    vals = vals.reshape(lead + (c,) + grid.shape)
+    if weber:
+        grad = gradient_values(disp, workspace(grid))  # [.., j, i] = d_i disp_j
+        vals = vals + np.einsum(f"{prefix}ji...,{prefix}j...->{prefix}i...", grad, vals)
+    flow._integrands[weber] = (label_values, vals)
+    return vals
 
 
 def _recover(
-    flow: FlowEnsemble,
-    label_values: np.ndarray,
-    weber: bool,
-    project: bool,
-    reduction: str = "pairwise",
+    flow: FlowEnsemble, label_values: np.ndarray, weber: bool, project: bool
 ) -> np.ndarray:
     """Ensemble-mean recovery; the workhorse behind every public formula."""
-    grid = flow.grid
-    ws = workspace(grid)
-    per_realization_labels = label_values.ndim == grid.dim + 2
-    if flow.mode == "shared" and not per_realization_labels:
-        core = _compose_core(flow, label_values, weber)
-        flow._cores[weber] = (label_values, core)
-        if project:
-            core = project_values(core, ws)
-        if not flow.shifts.any():
-            return core.copy()
-        return ws.ifft(ws.fft(core) * flow.shift_multiplier(ws))
-    vals = _integrand_general(flow, label_values, weber)
+    ws = workspace(flow.grid)
+    vals = _integrand(flow, label_values, weber)
     if project:
         vals = project_values(vals, ws)
-    return reduce_mean(vals, reduction)
+    if vals.ndim == flow.grid.dim + 2:
+        return vals.mean(axis=0)
+    if not flow.shifts.any():
+        return vals.copy()
+    return ws.ifft(ws.fft(vals) * flow.shift_multiplier(ws))
 
 
 def realization_field(
     flow: FlowEnsemble, label_values: np.ndarray, m: int, weber: bool, project: bool
 ) -> np.ndarray:
     """Recovered field of one realization (``u~`` when ``project=True``)."""
-    grid = flow.grid
-    ws = workspace(grid)
-    if flow.mode == "shared" and label_values.ndim == grid.dim + 1:
-        core = _compose_core(flow, label_values, weber)
-        if project:
-            core = project_values(core, ws)
-        if not flow.shifts[m].any():
-            return core
-        return translate_batch(core[None], flow.shifts[m : m + 1], ws)[0]
-    vals = _integrand_general(flow, label_values, weber)[m]
-    if project:
-        vals = project_values(vals, ws)
+    ws = workspace(flow.grid)
+    vals = _integrand(flow, label_values, weber)
+    core = vals.ndim == flow.grid.dim + 1
+    vals = vals if core else vals[m]
+    vals = project_values(vals, ws) if project else vals.copy()
+    if core and flow.shifts[m].any():
+        return translate_batch(vals[None], flow.shifts[m : m + 1], ws)[0]
     return vals
 
 
@@ -154,25 +123,19 @@ def probe_spread(
 
     Used for the Monte Carlo standard-error diagnostic; projection is
     omitted (the unprojected integrand carries the same sampling spread).
-    In shared mode the core that the last recovery on ``flow`` composed
-    from this same label array is reused, so ``label_values`` must not
-    have been modified in place since.
+    The integrand that the last recovery on ``flow`` built from this same
+    label array is reused.
     """
     grid = flow.grid
     d = grid.dim
-    if flow.mode == "shared" and label_values.ndim == d + 1:
-        cached = flow._cores.get(weber)
-        if cached is not None and cached[0] is label_values:
-            core = cached[1]
-        else:
-            core = _compose_core(flow, label_values, weber)
-        interp = FieldInterpolator(grid, core, order=flow.order)
+    vals = _integrand(flow, label_values, weber)
+    if vals.ndim == d + 1:
+        interp = FieldInterpolator(grid, vals, order=flow.order)
         # realization m sees the core at (p - s_m)
         pts = probes[None, :, :] - flow.shifts[:, :, None]  # (M, d, P)
         flat = np.moveaxis(pts, 1, 0).reshape(d, -1)
-        vals = interp.at(flat)
-        return np.moveaxis(vals.reshape(-1, flow.m, probes.shape[1]), 0, 1)
-    vals = _integrand_general(flow, label_values, weber)
+        out = interp.at(flat)
+        return np.moveaxis(out.reshape(-1, flow.m, probes.shape[1]), 0, 1)
     out = np.empty((flow.m, vals.shape[1], probes.shape[1]))
     for i in range(flow.m):
         out[i] = FieldInterpolator(grid, vals[i], order=flow.order).at(probes)
@@ -184,23 +147,25 @@ def probe_spread(
 # ---------------------------------------------------------------------------
 
 
-def burgers_velocity(flow: FlowEnsemble, u0, reduction: str = "pairwise") -> np.ndarray:
+def burgers_velocity(flow: FlowEnsemble, u0) -> np.ndarray:
     """``E[u0 o A]``: plain transported average, no projection."""
-    return _recover(flow, _label_array(u0), weber=False, project=False, reduction=reduction)
+    return _recover(flow, _label_array(u0), weber=False, project=False)
 
 
-def weber_velocity(flow: FlowEnsemble, u0, reduction: str = "pairwise") -> np.ndarray:
+def weber_velocity(flow: FlowEnsemble, u0) -> np.ndarray:
     """``E P[(grad^T A)(u0 o A)]``: divergence-free velocity recovery.
 
     The projection is applied per realization (each projected integrand is
     the stochastic velocity ``u~`` of that realization); since projection,
     translation and averaging are all Fourier multipliers, projecting the
-    ensemble mean once gives the same field to rounding.
+    ensemble mean once gives the same field to rounding. ``u0`` may be
+    shared ``(d,) + shape`` or per-realization ``(M, d) + shape``.
     """
+    d = flow.grid.dim
     label = _label_array(u0)
-    if label.shape[0] != flow.grid.dim:
+    if label.shape[-d - 1] != d:
         raise ValueError("weber recovery needs a vector label field")
-    return _recover(flow, label, weber=True, project=True, reduction=reduction)
+    return _recover(flow, label, weber=True, project=True)
 
 
 def stochastic_velocity(flow: FlowEnsemble, u0, m: int) -> np.ndarray:
@@ -208,17 +173,17 @@ def stochastic_velocity(flow: FlowEnsemble, u0, m: int) -> np.ndarray:
     return realization_field(flow, _label_array(u0), m, weber=True, project=True)
 
 
-def transported_vorticity_2d(flow: FlowEnsemble, omega0, reduction: str = "pairwise") -> np.ndarray:
+def transported_vorticity_2d(flow: FlowEnsemble, omega0) -> np.ndarray:
     """``E[w0 o A]`` for scalar 2D vorticity."""
     if flow.grid.dim != 2:
         raise ValueError("2D vorticity transport needs a 2D grid")
     label = _label_array(omega0)
     if label.shape[0] != 1:
         raise ValueError("2D vorticity label must be scalar")
-    return _recover(flow, label, weber=False, project=False, reduction=reduction)
+    return _recover(flow, label, weber=False, project=False)
 
 
-def transported_vorticity_3d(flow: FlowEnsemble, omega0, reduction: str = "pairwise") -> np.ndarray:
+def transported_vorticity_3d(flow: FlowEnsemble, omega0) -> np.ndarray:
     """``E[((grad X) w0) o A]``: Cauchy-formula vorticity transport."""
     grid = flow.grid
     if grid.dim != 3:
@@ -227,22 +192,20 @@ def transported_vorticity_3d(flow: FlowEnsemble, omega0, reduction: str = "pairw
     if label.shape[0] != 3:
         raise ValueError("3D vorticity label must have 3 components")
     gx = flow.grad_x_core()  # [..., i, j] = d_j X_i, includes identity
-    if flow.mode == "shared":
-        stretched = np.einsum("ij...,j...->i...", gx, label)
-        return _recover(flow, stretched, weber=False, project=False, reduction=reduction)
-    stretched = np.einsum("mij...,j...->mi...", gx, label)
-    return _recover(flow, stretched, weber=False, project=False, reduction=reduction)
+    prefix = "m" if flow.mode == "general" else ""
+    stretched = np.einsum(f"{prefix}ij...,j...->{prefix}i...", gx, label)
+    return _recover(flow, stretched, weber=False, project=False)
 
 
 def filtered_velocity_pair(
-    flow: FlowEnsemble, v0, alpha: float, reduction: str = "pairwise"
+    flow: FlowEnsemble, v0, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Alpha-model recovery: momentum ``v`` by the Weber formula, transport
     velocity ``u`` by the inverse Helmholtz filter ``(1 - a^2 Lap)^{-1}``.
     ``alpha = 0`` returns ``u`` as the same array as ``v``."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    v = weber_velocity(flow, v0, reduction=reduction)
+    v = weber_velocity(flow, v0)
     if alpha == 0.0:
         return v, v
     u = helmholtz_values(v, alpha, workspace(flow.grid))

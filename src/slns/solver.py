@@ -104,7 +104,6 @@ class SolverConfig:
     cfl_max: float = 0.5
     inversion_tol_factor: float = 1e-8
     newton_max_iter: int = 25
-    reduction: str = "pairwise"
     workers: int = 1
     substeps: int = 1
     initial: str = "taylor_green_2d"
@@ -142,8 +141,6 @@ class SolverConfig:
             raise ConfigError("interpolation must be 'cubic', 'linear' or 'quintic'")
         if self.forcing_quadrature not in ("left", "trapezoid"):
             raise ConfigError("forcing_quadrature must be 'left' or 'trapezoid'")
-        if self.reduction not in ("pairwise", "sequential"):
-            raise ConfigError("reduction must be 'pairwise' or 'sequential'")
         steps = self.t_end / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ConfigError("t_end must be an integer multiple of dt")
@@ -164,7 +161,11 @@ class SolverConfig:
         return PeriodicGrid(self.dim, self.n, self.length)
 
     def initial_field(self) -> Field:
-        return analytic_field(self.initial, self.grid(), **self.initial_params)
+        grid = self.grid()
+        try:
+            return analytic_field(self.initial, grid, **self.initial_params)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"initial field {self.initial!r}: {exc}") from None
 
     def forcing_fn(self):
         if self.forcing is None:
@@ -356,9 +357,9 @@ class StochasticSolver:
     def _recover(self, flow: FlowEnsemble, label_values: np.ndarray) -> np.ndarray:
         cfg = self.config
         if cfg.equation == "burgers":
-            out = burgers_velocity(flow, label_values, reduction=cfg.reduction)
+            out = burgers_velocity(flow, label_values)
         else:
-            out = weber_velocity(flow, label_values, reduction=cfg.reduction)
+            out = weber_velocity(flow, label_values)
         if self.pin_mean:
             axes = tuple(range(1, out.ndim))
             out += (self.mean_target - out.mean(axis=axes)).reshape(
@@ -452,9 +453,7 @@ class StochasticSolver:
             ).mean(axis=tuple(range(1, 1 + self.grid.dim)))
             self.acc = phi_candidate
         if self.track_vorticity:
-            self.omega_values = transported_vorticity_2d(
-                trial, self.labels_omega, reduction=cfg.reduction
-            )
+            self.omega_values = transported_vorticity_2d(trial, self.labels_omega)
         self.t += cfg.dt
         self.step_index += 1
 

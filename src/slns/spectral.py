@@ -151,16 +151,6 @@ def curl_values(values: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
     return np.stack([c0, c1, c2], axis=-d - 1)
 
 
-def translate_values(values: np.ndarray, shift: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    """Evaluate ``f(x - shift)`` by spectral phase shift (exact for
-    band-limited fields). ``shift`` has shape ``(d,)``."""
-    coeffs = ws.fft(values)
-    phase = np.exp(-1j * ws.k_full[0] * shift[0])
-    for j in range(1, ws.grid.dim):
-        phase = phase * np.exp(-1j * ws.k_full[j] * shift[j])
-    return ws.ifft(coeffs * phase)
-
-
 def _phase_ladder(shift_axis: np.ndarray, n: int, scale: float, half: bool) -> np.ndarray:
     """``exp(-i k c)`` for all harmonics ``k`` of one axis, shape ``(nk, M)``.
 
@@ -202,11 +192,6 @@ def shift_mean_multiplier(shifts: np.ndarray, ws: SpectralWorkspace) -> np.ndarr
     if d == 2:
         return axes[0] @ axes[1].T / m
     return np.einsum("am,bm,cm->abc", axes[0], axes[1], axes[2]) / m
-
-
-def mean_translates(values: np.ndarray, shifts: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    """``mean_m f(x - c_m)`` for all shifts at once, via one FFT round trip."""
-    return ws.ifft(ws.fft(values) * shift_mean_multiplier(shifts, ws))
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,15 @@ class TestCLI:
         assert main(["run", str(p)]) == 4
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override",
+        ["initial.amplitude=nan", "initial.name=bogus", "initial.bogus=1", "run.dim=3"],
+    )
+    def test_bad_initial_field_exit_1(self, tmp_path, capsys, override):
+        p = write_cfg(tmp_path, TG_CFG)
+        assert main(["run", str(p), "--set", override]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_compare_gates_pass_and_fail(self, tmp_path, capsys):
         p = write_cfg(tmp_path, BURGERS_CFG)
         main(["run", str(p)])
@@ -199,6 +208,12 @@ class TestCLI:
 
 
 class TestCompareOracles:
+    def test_cole_hopf_needs_viscosity(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, BURGERS_CFG)
+        assert main(["run", str(p), "--set", "run.nu=0"]) == 0
+        assert main(["compare", str(tmp_path / "out"), "--oracle", "cole_hopf"]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_spectral_ns_oracle(self, tmp_path):
         p = write_cfg(tmp_path, TG_CFG)
         main(["run", str(p)])

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from slns.recovery import (
     burgers_velocity,
     circulation,
     filtered_velocity_pair,
+    probe_spread,
     realization_field,
-    reduce_mean,
     stochastic_velocity,
     transported_vorticity_2d,
     transported_vorticity_3d,
@@ -79,12 +81,14 @@ class TestWeberVelocity:
             1.0, np.max(np.abs(mean))
         )
 
-    def test_reductions_agree(self, grid2d):
+    def test_per_realization_labels(self, grid2d):
+        # forcing accumulated on moving maps gives (M, d) + shape labels
         u0 = taylor_green_2d(grid2d)
-        fe = noisy_flow(grid2d, 8, nu=0.05, dt=5e-3, drift=u0.values, steps=2)
-        a = weber_velocity(fe, u0.values, reduction="pairwise")
-        b = weber_velocity(fe, u0.values, reduction="sequential")
-        assert np.max(np.abs(a - b)) <= 1e-13
+        fe = noisy_flow(grid2d, 3, nu=0.05, dt=5e-3, drift=u0.values, steps=2)
+        labels = np.stack([u0.values, 2 * u0.values, -u0.values])
+        out = weber_velocity(fe, labels)
+        singles = [stochastic_velocity(fe, labels[m], m) for m in range(3)]
+        assert np.max(np.abs(out - np.mean(singles, axis=0))) <= 1e-13
 
 
 class TestBurgersVelocity:
@@ -352,11 +356,81 @@ class TestCirculation:
         assert fit_order([32, 64, 128], defects) >= 1.0
 
 
-class TestReduceMean:
-    def test_modes_match(self):
-        x = np.random.default_rng(0).standard_normal((33, 4, 5))
-        a = reduce_mean(x, "pairwise")
-        b = reduce_mean(x, "sequential")
-        assert np.max(np.abs(a - b)) <= 1e-14
-        with pytest.raises(ValueError):
-            reduce_mean(x, "bogus")
+class TestRepresentationsAgree:
+    """The shared path (one core times the characteristic function of the
+    shifts) and the per-realization path (a mean over M maps) evaluate the
+    same formulas. Zero and whole-cell shifts keep every translate on the
+    grid, so the two paths differ only by rounding; arbitrary shifts would
+    add the interpolation error of the per-realization path."""
+
+    @staticmethod
+    def pair(grid, shift_kind):
+        m = 6
+        u0 = random_band_limited(grid, kmax=3, seed=4, components=grid.dim)
+        shared = noisy_flow(grid, m, nu=0.05, dt=2e-2, seed=8, drift=u0.values)
+        assert shared.mode == "shared"
+        cells = np.random.default_rng(1).integers(-grid.n, grid.n, (m, grid.dim))
+        shared.shifts = cells * grid.spacing if shift_kind == "cells" else 0.0 * cells
+        general = copy.copy(shared)
+        general.mode = "general"
+        general.xi = np.broadcast_to(shared.xi, (m,) + shared.xi.shape).copy()
+        general.beta = np.broadcast_to(shared.beta, (m,) + shared.beta.shape).copy()
+        general.chi = None
+        general._integrands = {}
+        return u0.values, shared, general
+
+    @staticmethod
+    def assert_close(a, b):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("shift_kind", ["zero", "cells"])
+    def test_formulas_agree(self, dim, n, shift_kind):
+        grid = PeriodicGrid(dim, n, L)
+        u0, shared, general = self.pair(grid, shift_kind)
+        w0 = curl_values(u0, workspace(grid))
+        probes = np.tile(np.array([0.7, 2.9, 5.1]), (dim, 1))
+        self.assert_close(burgers_velocity(shared, u0), burgers_velocity(general, u0))
+        self.assert_close(weber_velocity(shared, u0), weber_velocity(general, u0))
+        self.assert_close(
+            probe_spread(shared, u0, probes, weber=True),
+            probe_spread(general, u0, probes, weber=True),
+        )
+        if dim == 2:
+            a, b = transported_vorticity_2d(shared, w0[None]), transported_vorticity_2d(general, w0[None])
+        else:
+            a, b = transported_vorticity_3d(shared, w0), transported_vorticity_3d(general, w0)
+        self.assert_close(a, b)
+
+
+class TestIntegrandReuse:
+    def test_diagnostics_read_the_recovery_integrand(self, grid2d, monkeypatch):
+        u0 = taylor_green_2d(grid2d)
+        fe = noisy_flow(grid2d, 4, nu=0.05, dt=5e-3, drift=u0.values, steps=2)
+        assert fe.mode == "general"
+        u = weber_velocity(fe, u0.values)
+        calls = []
+        monkeypatch.setattr(fe, "alpha_general", lambda: calls.append(1))
+        probes = np.array([[1.0, 2.0], [3.0, 4.0]])
+        spread = probe_spread(fe, u0.values, probes, weber=True)
+        singles = np.stack(
+            [realization_field(fe, u0.values, m, weber=True, project=True) for m in range(4)]
+        )
+        assert not calls
+        assert spread.shape == (4, 2, 2)
+        assert np.max(np.abs(u - singles.mean(axis=0))) <= 1e-13
+
+    def test_results_do_not_alias_the_cache(self, grid2d):
+        u0 = taylor_green_2d(grid2d)
+        for steps in (1, 2):  # shared core, then one map per realization
+            fe = noisy_flow(grid2d, 3, nu=0.05, dt=5e-3, drift=u0.values, steps=steps)
+            fe.shifts = np.zeros_like(fe.shifts)
+            for recover in (
+                lambda: realization_field(fe, u0.values, 0, weber=False, project=False),
+                lambda: burgers_velocity(fe, u0.values),
+            ):
+                first = recover()
+                before = first.copy()
+                first += 1.0
+                assert np.array_equal(recover(), before)

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import fit_order
 import slns.flowmap
+from slns.config import compare_gates
 from slns.errors import CFLViolation, ConfigError, NonFiniteVelocity, NonInvertible
 from slns.flowmap import FlowEnsemble
 from slns.grid import Field, PeriodicGrid
@@ -16,11 +19,13 @@ from slns.solver import (
     StochasticSolver,
     convergence_study,
     oracle_solution,
+    relative_l2_error,
     run,
     spectral_resample,
 )
 
 L = 2 * np.pi
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples_cfg"
 
 
 def tg_config(**kw):
@@ -355,6 +360,26 @@ class TestOracleSolution:
         )
         ref = oracle_solution(cfg, 0.05)
         assert ref is not None and ref.components == 2
+
+
+class TestForcedWindows:
+    @pytest.mark.parametrize(
+        "window",
+        [
+            dict(reset_interval=2),
+            dict(forcing_quadrature="trapezoid"),
+            dict(reset_interval=2, forcing_quadrature="trapezoid"),
+        ],
+    )
+    def test_per_realization_forcing_labels(self, window):
+        # moving maps turn the accumulated forcing into one label field per
+        # realization; the steady state must still hold to the example's gate
+        gate = compare_gates(EXAMPLES / "forced_steady.cfg")["rel_l2_max"]
+        cfg = SolverConfig(
+            n=32, realizations=64, t_end=0.1, forcing="steady_taylor_green", **window
+        )
+        res = run(cfg)
+        assert relative_l2_error(res.velocity, oracle_solution(cfg, cfg.t_end)) <= gate
 
 
 class TestCirculationDiagnostics:
