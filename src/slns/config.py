@@ -5,8 +5,11 @@ rejected so typos fail loudly. CLI flags override file values, and every
 run emits the fully materialized ``effective.cfg`` next to its outputs so
 a run directory is always reproducible from itself.
 
+A point or vector is comma-separated numbers, and ``;`` separates probe
+points, so only ``#`` starts a comment after a value.
+
 ```
-[run]                      ; solver parameters (see SolverConfig)
+[run]                      # solver parameters (see SolverConfig)
 equation = burgers
 dim = 1
 n = 256
@@ -15,16 +18,17 @@ dt = 0.001
 t_end = 0.5
 realizations = 4096
 
-[initial]                  ; velocity generator + parameters
+[initial]                  # velocity generator + parameters
 name = sine_mode
 mode = 1
 amplitude = 1.0
 
-[forcing]                  ; optional body force
-name = steady_taylor_green
+[forcing]                  # optional body force
+name = constant
 quadrature = left
+vector = 0.1               # one component per dimension
 
-[circulation]              ; optional per-step circulation probe
+[circulation]              # optional per-step circulation probe
 kind = circle
 center = 3.14159, 3.14159
 radius = 1.0
@@ -35,7 +39,7 @@ dir = out/burgers1d
 snapshot_interval = 0
 probes = 1.57 ; 3.14 ; 4.71
 
-[compare]                  ; gates used by `slns compare`
+[compare]                  # gates used by `slns compare`
 oracle = cole_hopf
 rel_l2_max = 0.02
 linf_max = 0.05
@@ -94,17 +98,19 @@ def _parse_scalar(text: str):
         return text
 
 
+def _parse_vector(text: str, dim: int, what: str) -> list:
+    """``dim`` comma-separated numbers, as :func:`_fmt_value` writes them."""
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError:
+        vals = []
+    if len(vals) != dim:
+        raise ConfigError(f"{what} {text.strip()!r} must be {dim} comma-separated numbers")
+    return vals
+
+
 def _parse_points(text: str, dim: int) -> list:
-    pts = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        vals = [float(v) for v in chunk.split(",")]
-        if len(vals) != dim:
-            raise ConfigError(f"probe point {chunk!r} must have {dim} coordinates")
-        pts.append(vals)
-    return pts
+    return [_parse_vector(c, dim, "probe point") for c in text.split(";") if c.strip()]
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> SolverConfig:
@@ -116,7 +122,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> SolverConfig
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         parser.read(path)
     except configparser.Error as exc:
@@ -155,6 +161,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> SolverConfig
                 val = float(val)
             kwargs[key] = val
 
+    dim = kwargs.get("dim", SolverConfig.dim)
     if parser.has_section("initial"):
         items = dict(parser.items("initial"))
         kwargs["initial"] = items.pop("name", SolverConfig.initial)
@@ -166,7 +173,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> SolverConfig
         if name is not None:
             kwargs["forcing"] = name
         kwargs["forcing_quadrature"] = items.pop("quadrature", "left")
-        kwargs["forcing_params"] = {k: _parse_scalar(v) for k, v in items.items()}
+        params = {k: _parse_scalar(v) for k, v in items.items()}
+        if "vector" in items:
+            params["vector"] = _parse_vector(items["vector"], dim, "[forcing] vector")
+        kwargs["forcing_params"] = params
 
     if parser.has_section("circulation"):
         items = dict(parser.items("circulation"))
@@ -188,7 +198,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> SolverConfig
         if "snapshot_interval" in items:
             kwargs["snapshot_interval"] = int(items.pop("snapshot_interval"))
         if "probes" in items:
-            dim = kwargs.get("dim", SolverConfig.dim)
             pts = _parse_points(items.pop("probes"), dim)
             kwargs["probes"] = np.asarray(pts).T.tolist()
         if items:
@@ -203,7 +212,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> SolverConfig
 
 def compare_gates(path: str | Path) -> dict:
     """Tolerance block for ``slns compare``; empty when absent."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.read(Path(path))
     if not parser.has_section("compare"):
         return {}
@@ -239,7 +248,7 @@ def save_effective(config: SolverConfig, path: str | Path, gates: dict | None = 
         spec = config.circulation_curve
         parser.set("circulation", "kind", str(spec.get("kind", "circle")))
         if "center" in spec:
-            parser.set("circulation", "center", ", ".join(_fmt_value(v) for v in spec["center"]))
+            parser.set("circulation", "center", _fmt_value(spec["center"]))
         if "radius" in spec:
             parser.set("circulation", "radius", _fmt_value(spec["radius"]))
         parser.set("circulation", "realizations", str(config.circulation_realizations))
@@ -266,6 +275,8 @@ def save_effective(config: SolverConfig, path: str | Path, gates: dict | None = 
 
 
 def _fmt_value(v) -> str:
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return ", ".join(_fmt_value(float(x)) for x in v)
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):

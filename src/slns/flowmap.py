@@ -164,9 +164,11 @@ def invert_core(
 class FlowEnsemble:
     """Forward and inverse map displacements for an ensemble of realizations.
 
-    ``mode == "shared"``: ``xi``/``beta`` have shape ``(d,) + grid.shape``
-    and apply to every realization; ``mode == "general"``: shape
-    ``(M, d) + grid.shape``. ``shifts`` always has shape ``(M, d)``.
+    The representation is the shape of ``xi`` (and of ``beta``), read back
+    by the :attr:`mode` property: ``(d,) + grid.shape`` is one core shared
+    by every realization (``"shared"``), ``(M, d) + grid.shape`` one core
+    per realization (``"general"``). Every operation handles both through
+    that leading realization axis. ``shifts`` always has shape ``(M, d)``.
 
     ``chi`` caches the empirical characteristic function of ``shifts``
     (None until :meth:`shift_multiplier` first builds it); ensembles
@@ -192,7 +194,6 @@ class FlowEnsemble:
         self.tol = DEFAULT_TOL_FACTOR * grid.length if tol is None else tol
         self.max_newton = max_newton
         self.workers = workers
-        self.mode = "shared"
         d = grid.dim
         self.xi = np.zeros((d,) + grid.shape)
         self.shifts = np.zeros((realizations, d))
@@ -215,7 +216,6 @@ class FlowEnsemble:
     def reset(self) -> None:
         """Start a new label window at the identity map."""
         d = self.grid.dim
-        self.mode = "shared"
         self.xi = np.zeros((d,) + self.grid.shape)
         self.shifts = np.zeros((self.m, d))
         self.beta = np.zeros((d,) + self.grid.shape)
@@ -225,11 +225,14 @@ class FlowEnsemble:
         self.chi = None
         self._integrands = {}
 
+    @property
+    def mode(self) -> str:
+        """``"shared"`` or ``"general"``, read from the shape of ``xi``."""
+        return "shared" if self.xi.ndim == self.grid.dim + 1 else "general"
+
     def xi_general(self) -> np.ndarray:
-        """Periodic core displacements as ``(M, d) + shape`` regardless of mode."""
-        if self.mode == "general":
-            return self.xi
-        return np.broadcast_to(self.xi, (self.m,) + self.xi.shape)
+        """Periodic core displacements as a read-only ``(M, d) + shape`` view."""
+        return np.broadcast_to(self.xi, (self.m, self.grid.dim) + self.grid.shape)
 
     def is_identity(self) -> bool:
         return self.steps_in_window == 0
@@ -256,44 +259,28 @@ class FlowEnsemble:
         grid = self.grid
         d = grid.dim
         new = self._spawn()
-        if not u_values.any():
-            # zero drift: a pure uniform translation in any representation
-            new.shifts = self.shifts if noise is None else self.shifts + noise
-            new.steps_in_window = self.steps_in_window + 1
-            new.time_in_window = self.time_in_window + dt
-            return new
-        drift = FieldInterpolator(grid, u_values, order=self.order)
-        coords = grid.coordinates()
-
-        if self.mode == "shared" and not self.shifts.any():
-            # Single deterministic core: evaluation points are shared.
-            if not self.xi.any():
+        # zero drift leaves the cores alone: the step is a pure translation
+        if u_values.any():
+            drift = FieldInterpolator(grid, u_values, order=self.order)
+            # one deterministic core while every shift is zero, else one map
+            # per realization evaluated at its shifted points
+            shared = self.mode == "shared" and not self.shifts.any()
+            xi, lead = (self.xi, ()) if shared else (self.xi_general(), (self.m,))
+            pts = xi.reshape(lead + (d, -1)) + grid.coordinates().reshape(d, -1)
+            if not shared:
+                pts = pts + self.shifts[:, :, None]
+            flat = np.moveaxis(pts, -2, 0).reshape(d, -1)
+            if shared and not xi.any():
                 k1 = u_values.reshape(d, -1)  # nodes: no interpolation needed
             else:
-                pts = (coords + self.xi).reshape(d, -1)
-                k1 = drift.at(pts)
-            if stages == 1:
-                incr = dt * k1
-            else:
-                pts = (coords + self.xi).reshape(d, -1)
-                k2 = drift.at(pts + dt * k1)
-                incr = (0.5 * dt) * (k1 + k2)
-            new.xi = self.xi + incr.reshape((d,) + grid.shape)
-            new.mode = "shared"
-        else:
-            xi = self.xi_general()
-            pts = xi.reshape(self.m, d, -1) + coords.reshape(1, d, -1)
-            pts = pts + self.shifts[:, :, None]
-            flat = np.moveaxis(pts, 1, 0).reshape(d, -1)
-            k1 = drift.at(flat)
+                k1 = drift.at(flat)
             if stages == 1:
                 incr = dt * k1
             else:
                 k2 = drift.at(flat + dt * k1)
                 incr = (0.5 * dt) * (k1 + k2)
-            incr = np.moveaxis(incr.reshape(d, self.m, -1), 0, 1)
-            new.xi = xi + incr.reshape((self.m, d) + grid.shape)
-            new.mode = "general"
+            incr = np.moveaxis(incr.reshape((d,) + lead + (-1,)), 0, -2)
+            new.xi = xi + incr.reshape(lead + (d,) + grid.shape)
 
         new.shifts = self.shifts if noise is None else self.shifts + noise
         new.steps_in_window = self.steps_in_window + 1
@@ -304,22 +291,17 @@ class FlowEnsemble:
 
     def invert(self) -> None:
         """Compute back-to-labels displacements by damped Newton on the
-        periodic core of each realization."""
+        periodic core of each realization (the one core when shared)."""
         self._integrands = {}
-        if self.mode == "shared":
-            self.beta = invert_core(
-                self.grid, self.xi, self.order, self.tol, self.max_newton
-            )
-        else:
-            beta = np.empty_like(self.xi)
+        d = self.grid.dim
+        cores = self.xi.reshape((-1, d) + self.grid.shape)
+        beta = np.empty_like(cores)
 
-            def _one(i: int) -> None:
-                beta[i] = invert_core(
-                    self.grid, self.xi[i], self.order, self.tol, self.max_newton
-                )
+        def _one(i: int) -> None:
+            beta[i] = invert_core(self.grid, cores[i], self.order, self.tol, self.max_newton)
 
-            thread_map(_one, self.m, self.workers)
-            self.beta = beta
+        thread_map(_one, len(cores), self.workers)
+        self.beta = beta.reshape(self.xi.shape)
 
     def _require_beta(self) -> np.ndarray:
         if self.beta is None:
@@ -332,13 +314,9 @@ class FlowEnsemble:
         ``A_m(x) = B_m(x - s_m)``, realized by an exact spectral translation
         of the periodic inverse core.
         """
-        beta = self._require_beta()
-        ws = workspace(self.grid)
-        if self.mode == "shared":
-            beta_m = np.broadcast_to(beta, (self.m,) + beta.shape)
-        else:
-            beta_m = beta
-        translated = translate_batch(beta_m, self.shifts, ws)
+        shape = (self.m, self.grid.dim) + self.grid.shape
+        beta = np.broadcast_to(self._require_beta(), shape)
+        translated = translate_batch(beta, self.shifts, workspace(self.grid))
         return translated - self.shifts[(...,) + (None,) * self.grid.dim]
 
     # -- derived quantities --------------------------------------------------
@@ -347,14 +325,10 @@ class FlowEnsemble:
         """Forward-map Jacobian ``grad[..., i, j, sp] = d(X_i)/d(a_j)``,
         identity included (uniform shifts do not contribute). Shared mode
         returns one matrix field; general mode one per realization."""
-        ws = workspace(self.grid)
-        g = gradient_values(self.xi, ws)
+        g = gradient_values(self.xi, workspace(self.grid))
         d = self.grid.dim
         idx = np.arange(d)
-        if self.mode == "shared":
-            g[idx, idx] += 1.0
-        else:
-            g[:, idx, idx] += 1.0
+        g[(..., idx, idx) + (slice(None),) * d] += 1.0
         return g
 
     def shift_multiplier(self, ws: SpectralWorkspace) -> np.ndarray:
@@ -371,12 +345,10 @@ class FlowEnsemble:
         return float(np.max(np.abs(det - 1.0)))
 
     def det_jacobian(self) -> np.ndarray:
-        """Pointwise ``det(grad X)`` per realization, shape ``(M,) + shape``."""
-        g = self.grad_x_core()
-        det = _det_from_grad(g, self.grid.dim)
-        if self.mode == "shared":
-            det = np.broadcast_to(det, (self.m,) + det.shape)
-        return det
+        """Pointwise ``det(grad X)`` per realization, a read-only
+        ``(M,) + shape`` view."""
+        det = _det_from_grad(self.grad_x_core(), self.grid.dim)
+        return np.broadcast_to(det, (self.m,) + self.grid.shape)
 
     def max_condition_estimate(self) -> float:
         """Frobenius condition number ``||J||_F ||J^{-1}||_F`` of the
@@ -385,7 +357,7 @@ class FlowEnsemble:
         g = self.grad_x_core()
         d = self.grid.dim
         det = _det_from_grad(g, d)
-        mat_axes = (0, 1) if self.mode == "shared" else (1, 2)
+        mat_axes = (g.ndim - d - 2, g.ndim - d - 1)
         fro2 = np.sum(g**2, axis=mat_axes)
         adj_fro2 = _adjugate_frobenius_sq(g, d, mat_axes)
         cond = np.sqrt(fro2 * adj_fro2) / np.abs(det)
@@ -397,15 +369,11 @@ class FlowEnsemble:
         grid = self.grid
         d = grid.dim
         coords = grid.coordinates().reshape(d, -1)
-        if self.mode == "shared":
-            pts = coords + beta.reshape(d, -1)
-            xi_interp = FieldInterpolator(grid, self.xi, order=self.order)
-            res = grid.wrap_centered(pts + xi_interp.at(pts) - coords)
-            return float(np.max(np.abs(res)))
+        cores = zip(self.xi.reshape((-1, d) + grid.shape), beta.reshape((-1,) + coords.shape))
         worst = 0.0
-        for i in range(self.m):
-            pts = coords + beta[i].reshape(d, -1)
-            xi_interp = FieldInterpolator(grid, self.xi[i], order=self.order)
+        for xi, b in cores:
+            pts = coords + b
+            xi_interp = FieldInterpolator(grid, xi, order=self.order)
             res = grid.wrap_centered(pts + xi_interp.at(pts) - coords)
             worst = max(worst, float(np.max(np.abs(res))))
         return worst

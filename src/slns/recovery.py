@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flowmap import FlowEnsemble, _solve_pointwise, translate_batch
+from .flowmap import FlowEnsemble, translate_batch
 from .grid import Field, PeriodicGrid
 from .interp import FieldInterpolator, interpolate_batch
 from .spectral import (
@@ -130,16 +130,11 @@ def probe_spread(
     d = grid.dim
     vals = _integrand(flow, label_values, weber)
     if vals.ndim == d + 1:
-        interp = FieldInterpolator(grid, vals, order=flow.order)
         # realization m sees the core at (p - s_m)
-        pts = probes[None, :, :] - flow.shifts[:, :, None]  # (M, d, P)
-        flat = np.moveaxis(pts, 1, 0).reshape(d, -1)
-        out = interp.at(flat)
-        return np.moveaxis(out.reshape(-1, flow.m, probes.shape[1]), 0, 1)
-    out = np.empty((flow.m, vals.shape[1], probes.shape[1]))
-    for i in range(flow.m):
-        out[i] = FieldInterpolator(grid, vals[i], order=flow.order).at(probes)
-    return out
+        pts = probes[:, None, :] - flow.shifts.T[:, :, None]  # (d, M, P)
+        return np.moveaxis(FieldInterpolator(grid, vals, order=flow.order).at(pts), 0, 1)
+    pts = np.broadcast_to(probes, (flow.m,) + probes.shape)
+    return interpolate_batch(grid, vals, pts, order=flow.order, workers=flow.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -219,22 +214,20 @@ def filtered_velocity_pair(
 
 @dataclass
 class ForcingAccumulator:
-    """Label-side forcing integral.
+    """Label-side velocity forcing integral.
 
-    ``kind="velocity"`` accumulates ``(grad^T X) f(X_s, s)``; with ``f = 0``
-    the values stay equal to the initial label data forever. The vorticity
-    variants accumulate ``g(X_s, s)`` (2D) or ``(grad X)^{-1} g(X_s, s)``
-    (3D). ``values`` is shared ``(c,) + shape`` until a nonzero-noise,
-    mid-window accumulation forces per-realization values ``(M, c) + shape``.
+    Accumulates ``(grad^T X) f(X_s, s)``; with ``f = 0`` the values stay
+    equal to the initial label data forever. ``values`` is shared
+    ``(c,) + shape`` until a nonzero-noise, mid-window accumulation forces
+    per-realization values ``(M, c) + shape``.
     """
 
     grid: PeriodicGrid
     values: np.ndarray
-    kind: str = "velocity"
 
     @classmethod
-    def start(cls, grid: PeriodicGrid, label0, kind: str = "velocity") -> "ForcingAccumulator":
-        return cls(grid, _label_array(label0).copy(), kind)
+    def start(cls, grid: PeriodicGrid, label0) -> "ForcingAccumulator":
+        return cls(grid, _label_array(label0).copy())
 
     @property
     def per_realization(self) -> bool:
@@ -253,19 +246,9 @@ class ForcingAccumulator:
         fvals = np.stack(
             [np.asarray(forcing(pts[i].reshape((d,) + grid.shape), t)) for i in range(flow.m)]
         )
-        if self.kind == "vorticity" and d == 2:
-            return fvals
-        gx = flow.grad_x_core()
-        if flow.mode == "shared":
-            gx = np.broadcast_to(gx, (flow.m,) + gx.shape)
-        if self.kind == "velocity":
-            # (grad^T X) f, with [m, j, i] = d_i X_j
-            return np.einsum("mji...,mj...->mi...", gx, fvals)
-        out = np.empty_like(fvals)
-        for i in range(flow.m):
-            jac = gx[i].reshape(d, d, -1)
-            out[i] = _solve_pointwise(jac, fvals[i].reshape(d, -1)).reshape((d,) + grid.shape)
-        return out
+        gx = np.broadcast_to(flow.grad_x_core(), (flow.m, d, d) + grid.shape)
+        # (grad^T X) f, with [m, j, i] = d_i X_j
+        return np.einsum("mji...,mj...->mi...", gx, fvals)
 
     def advanced(
         self,
@@ -280,24 +263,15 @@ class ForcingAccumulator:
         only; ``trapezoid`` (refinement flag) averages start and end."""
         inc = self._increment(flow_start, forcing, t)
         if not inc.any() and scheme == "left":
-            return ForcingAccumulator(self.grid, self.values, self.kind)
+            return ForcingAccumulator(self.grid, self.values)
         if scheme == "trapezoid":
             if flow_end is None:
                 raise ValueError("trapezoid accumulation needs the end-of-step maps")
-            inc_end = self._increment(flow_end, forcing, t + dt)
-            if inc.ndim < inc_end.ndim:
-                inc = np.broadcast_to(inc, inc_end.shape)
-            elif inc_end.ndim < inc.ndim:
-                inc_end = np.broadcast_to(inc_end, inc.shape)
-            inc = 0.5 * (inc + inc_end)
+            # shared (c,) + shape and per-realization (M, c) + shape broadcast
+            inc = 0.5 * (inc + self._increment(flow_end, forcing, t + dt))
         elif scheme != "left":
             raise ValueError(f"unknown forcing quadrature {scheme!r}")
-        vals = self.values
-        if vals.ndim < inc.ndim:
-            vals = np.broadcast_to(vals, inc.shape[:1] + vals.shape)
-        elif inc.ndim < vals.ndim:
-            inc = np.broadcast_to(inc, vals.shape[:1] + inc.shape)
-        return ForcingAccumulator(self.grid, vals + dt * inc, self.kind)
+        return ForcingAccumulator(self.grid, self.values + dt * inc)
 
 
 # ---------------------------------------------------------------------------

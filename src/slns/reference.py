@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .grid import Field, PeriodicGrid
-from .spectral import curl, leray_project, project_coeffs, workspace
+from .spectral import leray_project, project_coeffs, workspace
 
 _TWO_PI = 2.0 * np.pi
 
@@ -415,18 +415,10 @@ def taylor_green_ns_solution(grid: PeriodicGrid, nu: float, t: float, amplitude:
     return taylor_green_2d(grid, amplitude * decay)
 
 
-def curl_consistency_error(u: Field, omega: Field) -> float:
-    """Relative L2 mismatch between ``curl u`` and a vorticity field."""
-    cu = curl(u)
-    denom = max(omega.l2_norm(), 1e-300)
-    return float((cu - omega).l2_norm() / denom)
-
-
 __all__ = [
     "abc_flow",
     "analytic_field",
     "cole_hopf_burgers",
-    "curl_consistency_error",
     "finite_difference_burgers",
     "heat_decay_factor",
     "leray_project",

@@ -203,7 +203,10 @@ def make_forcing(name: str, config: SolverConfig):
 
         return f
     if name == "constant":
-        vec = np.asarray(params.get("vector", [0.0] * config.dim), dtype=np.float64)
+        vec = params.get("vector", [0.0] * config.dim)
+        if np.shape(vec) != (config.dim,):
+            raise ConfigError(f"constant forcing vector must have {config.dim} numbers")
+        vec = np.asarray(vec, dtype=np.float64)
 
         def f(points, t):
             shape = points.shape[1:]
@@ -520,14 +523,16 @@ class StochasticSolver:
         cfg = self.config
         worst = 0.0
         sample = min(cfg.circulation_realizations, cfg.realizations)
-        xi_gen = self.flow.xi_general()
+        xi = self.flow.xi_general()
+        # forced windows carry one label field per realization
+        labels = np.broadcast_to(label_u, xi.shape[:1] + label_u.shape[-self.grid.dim - 1 :])
         for m in range(sample):
             u_tilde = realization_field(self.flow, label_u, m, weber=True, project=True)
             res = circulation(
                 self.grid,
-                label_u,
+                labels[m],
                 u_tilde,
-                xi_gen[m] if self.flow.mode == "general" else self.flow.xi,
+                xi[m],
                 self.flow.shifts[m],
                 self.curve,
                 quadrature_n=256,
@@ -767,13 +772,3 @@ def convergence_study(
                 )
         rows.append({"axis": axis, "value": v, "error": e, "order": order})
     return rows
-
-
-def observed_order(errors, factor: float = 2.0) -> float:
-    """Least-squares slope of log(error) against level (refinement ratio
-    ``factor`` per level)."""
-    errors = np.asarray(errors, dtype=np.float64)
-    lev = np.arange(errors.size)
-    mask = errors > 0
-    slope = np.polyfit(lev[mask], np.log(errors[mask]), 1)[0]
-    return float(-slope / np.log(factor))

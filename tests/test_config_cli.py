@@ -1,5 +1,6 @@
 import pytest
 
+import slns.config
 from slns.cli import main
 from slns.config import compare_gates, load_config, save_effective
 from slns.errors import ConfigError
@@ -45,6 +46,12 @@ name = taylor_green_2d
 
 [output]
 dir = {out}
+"""
+
+CONSTANT_FORCING = """
+[forcing]
+name = constant
+vector = 0.1, 0.0
 """
 
 
@@ -94,6 +101,30 @@ class TestConfigFile:
         assert cfg2 == cfg
         assert compare_gates(eff)["rel_l2_max"] == 0.2
 
+    def test_documented_probe_line_gives_three_probes(self, tmp_path):
+        line = next(
+            ln for ln in slns.config.__doc__.splitlines() if ln.startswith("probes =")
+        )
+        p = tmp_path / "probes.cfg"
+        p.write_text(f"[run]\nequation = burgers\ndim = 1\n\n[output]\n{line}\n")
+        assert load_config(p).probes == [[1.57, 3.14, 4.71]]
+
+    def test_two_probes_survive_effective_roundtrip(self, tmp_path):
+        p = write_cfg(tmp_path, TG_CFG + "probes = 1.0,2.0 ; 3.0,4.0  # two points\n")
+        cfg = load_config(p)
+        assert cfg.probes == [[1.0, 3.0], [2.0, 4.0]]
+        eff = tmp_path / "effective.cfg"
+        save_effective(cfg, eff)
+        assert load_config(eff) == cfg
+
+    def test_constant_forcing_vector_roundtrip(self, tmp_path):
+        p = write_cfg(tmp_path, TG_CFG + CONSTANT_FORCING)
+        cfg = load_config(p)
+        assert cfg.forcing_params == {"vector": [0.1, 0.0]}
+        eff = tmp_path / "effective.cfg"
+        save_effective(cfg, eff)
+        assert load_config(eff) == cfg
+
 
 class TestCLI:
     def test_run_creates_artifacts(self, tmp_path, capsys):
@@ -126,6 +157,33 @@ class TestCLI:
         assert (tmp_path / "out" / "diag.csv").read_bytes() == (
             tmp_path / "rerun" / "diag.csv"
         ).read_bytes()
+
+    def test_effective_config_reproduces_every_section(self, tmp_path):
+        sections = """
+[forcing]
+name = steady_taylor_green
+quadrature = trapezoid
+
+[circulation]
+kind = circle
+center = 3.0, 3.2
+radius = 1.0
+realizations = 2
+"""
+        p = write_cfg(tmp_path, TG_CFG + "probes = 1.0,2.0 ; 3.0,4.0\n" + sections)
+        assert main(["run", str(p), "--set", "run.reset_interval=2"]) == 0
+        eff = tmp_path / "out" / "effective.cfg"
+        assert main(["run", str(eff), "--output-dir", str(tmp_path / "rerun")]) == 0
+        for name in ("diag.csv", "circulation.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (
+                tmp_path / "rerun" / name
+            ).read_bytes(), name
+
+    def test_constant_forcing_runs(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, TG_CFG + CONSTANT_FORCING)
+        assert main(["run", str(p)]) == 0
+        assert main(["run", str(p), "--set", "forcing.vector=0.1,0.0,0.0"]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_workers_flag_invariant(self, tmp_path, monkeypatch):
         p = write_cfg(tmp_path, TG_CFG)

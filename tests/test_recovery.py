@@ -372,7 +372,6 @@ class TestRepresentationsAgree:
         cells = np.random.default_rng(1).integers(-grid.n, grid.n, (m, grid.dim))
         shared.shifts = cells * grid.spacing if shift_kind == "cells" else 0.0 * cells
         general = copy.copy(shared)
-        general.mode = "general"
         general.xi = np.broadcast_to(shared.xi, (m,) + shared.xi.shape).copy()
         general.beta = np.broadcast_to(shared.beta, (m,) + shared.beta.shape).copy()
         general.chi = None
@@ -402,6 +401,30 @@ class TestRepresentationsAgree:
         else:
             a, b = transported_vorticity_3d(shared, w0), transported_vorticity_3d(general, w0)
         self.assert_close(a, b)
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_flow_operations_agree(self, dim, n):
+        grid = PeriodicGrid(dim, n, L)
+        u0, shared, general = self.pair(grid, "cells")
+        assert general.mode == "general"  # derived from the broadcast xi
+        self.assert_close(shared.alpha_general(), general.alpha_general())
+        g = shared.grad_x_core()
+        self.assert_close(np.broadcast_to(g, (shared.m,) + g.shape), general.grad_x_core())
+        self.assert_close(shared.det_jacobian(), general.det_jacobian())
+        for op in ("max_det_deviation", "max_condition_estimate", "composition_residual"):
+            a, b = getattr(shared, op)(), getattr(general, op)()
+            assert abs(a - b) <= 1e-13 * max(1.0, abs(a)), op
+        for flow in (shared, general):
+            flow.invert()
+        self.assert_close(np.broadcast_to(shared.beta, general.beta.shape), general.beta)
+        # with zero shifts a shared flow keeps one core; the general copy
+        # advances every map at the same points
+        for flow in (shared, general):
+            flow.shifts = np.zeros_like(flow.shifts)
+        a = shared.advanced(u0, 0.01, None, stages=2)
+        b = general.advanced(u0, 0.01, None, stages=2)
+        assert a.mode == "shared"
+        self.assert_close(a.xi_general(), b.xi)
 
 
 class TestIntegrandReuse:
