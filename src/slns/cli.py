@@ -18,13 +18,10 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import compare_gates, load_config, save_effective
 from .errors import ConfigError, SLNSError
 from .grid import Field
-from .reference import spectral_ns_run
 from .snapshots import read_snapshot
 from .solver import (
     BACKENDS,
@@ -33,6 +30,9 @@ from .solver import (
     oracle_solution,
     run as run_solver,
 )
+
+
+ORACLES = ("cole_hopf", "spectral_ns", "analytic")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -62,8 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("run_dir", help="directory produced by `slns run`")
     p_cmp.add_argument(
         "--oracle",
-        choices=("cole_hopf", "spectral_ns", "analytic"),
-        default="analytic",
+        choices=ORACLES,
+        help="overrides the run's [compare] oracle (default analytic)",
     )
     p_cmp.add_argument("--norms", default="l2,linf", help="comma list of norms to report")
     p_cmp.set_defaults(handler=cmd_compare)
@@ -161,6 +161,9 @@ def cmd_compare(args) -> int:
     config = load_config(cfg_path)
     gates = compare_gates(cfg_path)
     norms = [n.strip() for n in args.norms.split(",") if n.strip()]
+    oracle = args.oracle or gates.get("oracle", "analytic")
+    if oracle not in ORACLES:
+        raise ConfigError(f"[compare] oracle must be one of {ORACLES}, got {oracle!r}")
 
     snaps = sorted(run_dir.glob("snapshot_*.slnsf"))
     if not snaps:
@@ -169,26 +172,25 @@ def cmd_compare(args) -> int:
     rows = []
     for snap in snaps:
         field, t = read_snapshot(snap)
-        ref = _oracle_field(config, t, args.oracle)
-        diff = field.values - ref.values
-        denom = max(ref.l2_norm(), 1e-300)
-        l2 = float(np.sqrt(np.sum(diff**2) * field.grid.cell_volume))
+        ref = _oracle_field(config, t, oracle)
+        diff = field - ref
+        l2 = diff.l2_norm()
         rows.append(
             {
                 "time": t,
                 "l2": l2,
-                "rel_l2": l2 / denom,
-                "linf": float(np.max(np.abs(diff))),
+                "rel_l2": l2 / max(ref.l2_norm(), 1e-300),
+                "linf": diff.max_norm(),
             }
         )
 
-    out_csv = run_dir / f"compare_{args.oracle}.csv"
+    out_csv = run_dir / f"compare_{oracle}.csv"
     with open(out_csv, "w") as fh:
         fh.write("time,l2,rel_l2,linf\n")
         for r in rows:
             fh.write(f"{r['time']:.17g},{r['l2']:.17g},{r['rel_l2']:.17g},{r['linf']:.17g}\n")
 
-    print(f"comparison against {args.oracle} ({len(rows)} snapshots) -> {out_csv}")
+    print(f"comparison against {oracle} ({len(rows)} snapshots) -> {out_csv}")
     for r in rows:
         cols = "  ".join(f"{n}={r[n]:.3e}" for n in norms if n in r)
         print(f"  t={r['time']:<8g} {cols}")
@@ -207,23 +209,15 @@ def cmd_compare(args) -> int:
 
 
 def _oracle_field(config, t: float, oracle: str) -> Field:
+    """``oracle_solution`` after the named oracle's eligibility check."""
     if oracle == "cole_hopf":
         if config.equation != "burgers" or config.dim != 1 or config.initial != "sine_mode":
             raise ConfigError("cole_hopf comparison needs a 1D burgers run with a sine initial")
-        ref = oracle_solution(config, t)
-        if ref is None:
+        if config.nu <= 0:
             raise ConfigError("cole_hopf comparison needs nu > 0")
-        return ref
-    if oracle == "spectral_ns":
-        if config.equation not in ("navier_stokes", "euler"):
-            raise ConfigError("spectral_ns comparison needs an incompressible run")
-        u0 = config.initial_field()
-        if t == 0:
-            return u0
-        forcing = config.forcing_fn()
-        steps = max(1, int(round(t / config.dt)))
-        return spectral_ns_run(u0, config.nu, t / steps, t, forcing=forcing)[-1][1]
-    ref = oracle_solution(config, t)
+    if oracle == "spectral_ns" and config.equation not in ("navier_stokes", "euler"):
+        raise ConfigError("spectral_ns comparison needs an incompressible run")
+    ref = oracle_solution(config, t, spectral=oracle == "spectral_ns")
     if ref is None:
         raise ConfigError("no analytic oracle for this configuration")
     return ref

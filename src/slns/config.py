@@ -39,7 +39,7 @@ dir = out/burgers1d
 snapshot_interval = 0
 probes = 1.57 ; 3.14 ; 4.71
 
-[compare]                  # gates used by `slns compare`
+[compare]                  # default oracle and gates of `slns compare`
 oracle = cole_hopf
 rel_l2_max = 0.02
 linf_max = 0.05
@@ -98,6 +98,22 @@ def _parse_scalar(text: str):
         return text
 
 
+def _parse_typed(raw: str, want: type, what: str):
+    """``raw`` as a value of type ``want`` (str passes through)."""
+    val = _parse_scalar(raw)
+    if want is bool:
+        if not isinstance(val, bool):
+            raise ConfigError(f"{what} must be true/false")
+    elif want is int:
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise ConfigError(f"{what} must be an integer")
+    elif want is float:
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ConfigError(f"{what} must be a number")
+        val = float(val)
+    return val
+
+
 def _parse_vector(text: str, dim: int, what: str) -> list:
     """``dim`` comma-separated numbers, as :func:`_fmt_value` writes them."""
     try:
@@ -147,19 +163,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> SolverConfig
         for key, raw in parser.items("run"):
             if key not in _RUN_KEYS:
                 raise ConfigError(f"unknown [run] key {key!r}")
-            want = _RUN_KEYS[key]
-            val = _parse_scalar(raw)
-            if want is bool:
-                if not isinstance(val, bool):
-                    raise ConfigError(f"[run] {key} must be true/false")
-            elif want is int:
-                if isinstance(val, bool) or not isinstance(val, int):
-                    raise ConfigError(f"[run] {key} must be an integer")
-            elif want is float:
-                if isinstance(val, bool) or not isinstance(val, (int, float)):
-                    raise ConfigError(f"[run] {key} must be a number")
-                val = float(val)
-            kwargs[key] = val
+            kwargs[key] = _parse_typed(raw, _RUN_KEYS[key], f"[run] {key}")
 
     dim = kwargs.get("dim", SolverConfig.dim)
     if parser.has_section("initial"):
@@ -182,11 +186,13 @@ def load_config(path: str | Path, overrides: dict | None = None) -> SolverConfig
         items = dict(parser.items("circulation"))
         spec: dict = {"kind": items.pop("kind", "circle")}
         if "center" in items:
-            spec["center"] = [float(v) for v in items.pop("center").split(",")]
+            spec["center"] = _parse_vector(items.pop("center"), 2, "[circulation] center")
         if "radius" in items:
-            spec["radius"] = float(items.pop("radius"))
+            spec["radius"] = _parse_typed(items.pop("radius"), float, "[circulation] radius")
         if "realizations" in items:
-            kwargs["circulation_realizations"] = int(items.pop("realizations"))
+            kwargs["circulation_realizations"] = _parse_typed(
+                items.pop("realizations"), int, "[circulation] realizations"
+            )
         if items:
             raise ConfigError(f"unknown [circulation] keys: {sorted(items)}")
         kwargs["circulation_curve"] = spec
@@ -196,7 +202,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> SolverConfig
         if "dir" in items:
             kwargs["output_dir"] = items.pop("dir")
         if "snapshot_interval" in items:
-            kwargs["snapshot_interval"] = int(items.pop("snapshot_interval"))
+            kwargs["snapshot_interval"] = _parse_typed(
+                items.pop("snapshot_interval"), int, "[output] snapshot_interval"
+            )
         if "probes" in items:
             pts = _parse_points(items.pop("probes"), dim)
             kwargs["probes"] = np.asarray(pts).T.tolist()
@@ -211,7 +219,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> SolverConfig
 
 
 def compare_gates(path: str | Path) -> dict:
-    """Tolerance block for ``slns compare``; empty when absent."""
+    """Default oracle and tolerances for ``slns compare``; empty when absent."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.read(Path(path))
     if not parser.has_section("compare"):

@@ -274,6 +274,28 @@ def spectral_ns_run(
     return out
 
 
+def spectral_resample(f: Field, n_to: int) -> Field:
+    """Band-limited restriction/prolongation between grid resolutions.
+
+    Modes with ``|k| < n_min/2`` are copied (the Nyquist shell is dropped);
+    exact on fields resolved by both grids.
+    """
+    grid = f.grid
+    if n_to == grid.n:
+        return f.copy()
+    to_grid = PeriodicGrid(grid.dim, n_to, grid.length)
+    axes = tuple(range(1, 1 + grid.dim))
+    coeffs = np.fft.fftn(f.values, axes=axes)
+    half = min(grid.n, n_to) // 2
+    keep = np.r_[0:half, -(half - 1) : 0]  # frequencies -(h-1)..h-1
+    out = np.zeros((f.components,) + to_grid.shape, dtype=complex)
+    src_ix = np.ix_(np.arange(f.components), *([keep % grid.n] * grid.dim))
+    dst_ix = np.ix_(np.arange(f.components), *([keep % n_to] * grid.dim))
+    out[dst_ix] = coeffs[src_ix]
+    vals = np.real(np.fft.ifftn(out, axes=axes)) * (n_to**grid.dim / grid.num_points)
+    return Field(to_grid, vals, validate=False)
+
+
 # ---------------------------------------------------------------------------
 # exact viscous Burgers via Cole-Hopf
 # ---------------------------------------------------------------------------
@@ -288,11 +310,12 @@ def cole_hopf_burgers(
 ) -> np.ndarray:
     """Exact 1D periodic Burgers solution for gradient data ``u0 = d(psi0)/dx``.
 
-    ``psi0_samples`` are uniform samples of the potential on ``[0, L)``.
-    The substitution ``theta = exp(-psi / (2 nu))`` turns Burgers into the
-    heat equation; ``theta`` is evolved exactly mode by mode and the
-    series is evaluated at ``x_points`` with the mode count chosen so the
-    truncation error sits at machine precision.
+    ``psi0_samples`` are uniform samples of the potential on ``[0, L)``;
+    their count is a valid :class:`PeriodicGrid` size. The substitution
+    ``theta = exp(-psi / (2 nu))`` turns Burgers into the heat equation;
+    ``theta`` is evolved exactly mode by mode and the series is evaluated
+    at ``x_points`` with the mode count chosen so the truncation error
+    sits at machine precision.
     """
     if nu <= 0:
         raise ValueError("Cole-Hopf needs nu > 0")
@@ -304,10 +327,10 @@ def cole_hopf_burgers(
     # Upsample the potential spectrally, then exponentiate on a grid fine
     # enough that exp(-psi/2nu) is resolved to machine precision.
     n0 = psi0_samples.size
-    coeffs0 = np.fft.rfft(psi0_samples) / n0
+    psi0 = Field(PeriodicGrid(1, n0, length), psi0_samples)
     n_fine = max(4 * n0, 512)
     while True:
-        theta = np.exp(-_resample(coeffs0, n0, n_fine) / (2.0 * nu))
+        theta = np.exp(-spectral_resample(psi0, n_fine).values[0] / (2.0 * nu))
         theta_hat = np.fft.rfft(theta) / n_fine
         tail = np.max(np.abs(theta_hat[-max(2, n_fine // 16):]))
         if tail <= 1e-13 * np.max(np.abs(theta_hat)) or n_fine >= 1 << 17:
@@ -328,16 +351,6 @@ def cole_hopf_burgers(
     theta_x = np.real(phase * (1j * k) * decayed * weights).sum(axis=1)
     theta_v = np.real(phase * decayed * weights).sum(axis=1)
     return -2.0 * nu * theta_x / theta_v
-
-
-def _resample(coeffs_half: np.ndarray, n_from: int, n_to: int) -> np.ndarray:
-    """Zero-padded spectral upsampling of a real periodic signal."""
-    out = np.zeros(n_to // 2 + 1, dtype=complex)
-    out[: coeffs_half.size] = coeffs_half
-    if n_from % 2 == 0 and coeffs_half.size <= out.size:
-        out[coeffs_half.size - 1] *= 0.5  # split the Nyquist mode
-        # its conjugate partner is implicit in the real transform
-    return np.fft.irfft(out, n=n_to) * n_to
 
 
 def finite_difference_burgers(
@@ -425,6 +438,7 @@ __all__ = [
     "random_band_limited",
     "sine_mode",
     "spectral_ns_run",
+    "spectral_resample",
     "taylor_green_2d",
     "taylor_green_2d_vorticity",
     "taylor_green_3d",

@@ -51,8 +51,9 @@ from .reference import (
     analytic_field,
     cole_hopf_burgers,
     spectral_ns_run,
+    spectral_resample,
     taylor_green_2d,
-    taylor_green_ns_solution,
+    taylor_green_decay_rate,
 )
 from .snapshots import write_snapshot
 from .spectral import curl_values, divergence_values, helmholtz_values, workspace
@@ -633,61 +634,52 @@ def _sha256(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-def oracle_solution(config: SolverConfig, t: float) -> Field | None:
-    """Deterministic reference for configs that have one, else None."""
+def oracle_solution(config: SolverConfig, t: float, spectral: bool = False) -> Field | None:
+    """Deterministic reference at time ``t`` for configs that have one, else None.
+
+    The closed form where one exists: Cole-Hopf for 1D sine-mode Burgers
+    (``nu > 0``), the Taylor-Green field unforced or under
+    ``steady_taylor_green`` forcing. Otherwise, and for any incompressible
+    run when ``spectral`` is set, :func:`spectral_ns_run` with the config's
+    forcing and the step ``t / ceil(t / min(dt, 1e-2))``.
+    """
     grid = config.grid()
+    incompressible = config.equation in ("navier_stokes", "euler")
     if config.equation == "burgers" and config.dim == 1 and config.initial == "sine_mode":
+        if spectral or config.nu <= 0:
+            return None
         mode = config.initial_params.get("mode", 1)
         amp = config.initial_params.get("amplitude", 1.0)
-        if config.nu <= 0:
-            return None
         k = 2.0 * np.pi * mode / config.length
         x = grid.axis()
         psi0 = -(amp / k) * np.cos(k * x)
         vals = cole_hopf_burgers(psi0, config.length, config.nu, t, x)
         return Field(grid, vals[np.newaxis])
-    if config.equation in ("navier_stokes", "euler") and config.initial == "taylor_green_2d":
+    if (
+        incompressible
+        and config.initial == "taylor_green_2d"
+        and config.forcing in (None, "steady_taylor_green")
+        and not spectral
+    ):
+        # the forcing holds its own amplitude steady; the rest decays as a
+        # Stokes eigenmode (the advection of the cellular field is a gradient)
         amp = config.initial_params.get("amplitude", 1.0)
-        if config.forcing is None:
-            return taylor_green_ns_solution(grid, config.nu, t, amp)
-        if config.forcing == "steady_taylor_green":
-            return taylor_green_2d(grid, amp)
-    if config.equation in ("navier_stokes", "euler") and config.forcing is None:
-        u0 = config.initial_field()
-        if t == 0:
-            return u0
-        ref_dt = min(config.dt, 1e-2)
-        steps = max(1, int(np.ceil(t / ref_dt - 1e-12)))
-        traj = spectral_ns_run(u0, config.nu, t / steps, t)
-        return traj[-1][1]
-    return None
+        held = config.forcing_params.get("amplitude", 1.0) if config.forcing else 0.0
+        decay = np.exp(-taylor_green_decay_rate(config.length, config.nu) * t)
+        return taylor_green_2d(grid, held + (amp - held) * decay)
+    if not incompressible:
+        return None
+    u0 = config.initial_field()
+    if t == 0:
+        return u0
+    ref_dt = min(config.dt, 1e-2)
+    steps = max(1, int(np.ceil(t / ref_dt - 1e-12)))
+    return spectral_ns_run(u0, config.nu, t / steps, t, forcing=config.forcing_fn())[-1][1]
 
 
 def relative_l2_error(a: Field, b: Field) -> float:
     denom = max(b.l2_norm(), 1e-300)
     return (a - b).l2_norm() / denom
-
-
-def spectral_resample(f: Field, n_to: int) -> Field:
-    """Band-limited restriction/prolongation between grid resolutions.
-
-    Modes with ``|k| < n_min/2`` are copied (the Nyquist shell is dropped);
-    exact on fields resolved by both grids.
-    """
-    grid = f.grid
-    if n_to == grid.n:
-        return f.copy()
-    to_grid = PeriodicGrid(grid.dim, n_to, grid.length)
-    axes = tuple(range(1, 1 + grid.dim))
-    coeffs = np.fft.fftn(f.values, axes=axes)
-    half = min(grid.n, n_to) // 2
-    keep = np.r_[0:half, -(half - 1) : 0]  # frequencies -(h-1)..h-1
-    out = np.zeros((f.components,) + to_grid.shape, dtype=complex)
-    src_ix = np.ix_(np.arange(f.components), *([keep % grid.n] * grid.dim))
-    dst_ix = np.ix_(np.arange(f.components), *([keep % n_to] * grid.dim))
-    out[dst_ix] = coeffs[src_ix]
-    vals = np.real(np.fft.ifftn(out, axes=axes)) * (n_to**grid.dim / grid.num_points)
-    return Field(to_grid, vals, validate=False)
 
 
 def convergence_study(
@@ -698,77 +690,52 @@ def convergence_study(
 ) -> list[dict]:
     """Refinement study along ``dt``, ``n`` or ``realizations``.
 
-    ``dt`` and ``n`` refinements keep the Brownian paths common across
-    levels (so the Monte Carlo offset cancels) and report errors against
-    the finest level (``reference="self"``) or the config's deterministic
-    oracle (``reference="oracle"``). The realization axis reports the
-    accumulated probe standard error, whose slope against M should sit
-    near -1/2. Needs at least 3 levels.
+    Level ``i`` halves ``dt``, doubles ``n`` or quadruples the ensemble
+    ``i`` times. ``dt`` refinements keep the Brownian paths common across
+    levels (so the Monte Carlo offset cancels). ``dt`` and ``n`` levels
+    report the relative L2 error, on the reference's grid, against the
+    finest level (``reference="self"``) or the config's deterministic
+    oracle at the finest ``n`` (``reference="oracle"``), and the order
+    ``p`` of ``error ~ h^p``. The realization axis reports the accumulated
+    probe standard error and its slope against M, which should sit near
+    -1/2. Needs at least 3 levels.
     """
+    finest = 2 ** (levels - 1)
+    refine = {
+        "dt": lambda i: {"dt": config.dt / 2**i, "substeps": config.substeps * finest // 2**i},
+        "n": lambda i: {"n": config.n * 2**i},
+        "realizations": lambda i: {"realizations": config.realizations * 4**i},
+    }
     if levels < 3:
-        raise ValueError("a convergence study needs at least 3 levels")
-    if axis not in ("dt", "n", "realizations"):
-        raise ValueError("axis must be 'dt', 'n' or 'realizations'")
+        raise ConfigError("a convergence study needs at least 3 levels")
+    if axis not in refine:
+        raise ConfigError("axis must be 'dt', 'n' or 'realizations'")
+    cfgs = [replace(config, output_dir=None, **refine[axis](i)) for i in range(levels)]
+    factor = 4 if axis == "realizations" else 2
+    # dt and n levels are measured against one field, the ensemble axis by
+    # its own accumulated probe standard error
+    ref = None
+    if axis != "realizations":
+        if reference == "oracle":
+            ref = oracle_solution(replace(config, n=cfgs[-1].n), config.t_end)
+            if ref is None:
+                raise ConfigError("no oracle available for this configuration")
+        else:
+            ref = run(cfgs.pop()).velocity
 
     rows: list[dict] = []
-    if axis == "dt":
-        finest_sub = 2 ** (levels - 1)
-        runs = []
-        for i in range(levels):
-            cfg_i = replace(
-                config,
-                dt=config.dt / 2**i,
-                substeps=config.substeps * finest_sub // 2**i,
-                output_dir=None,
-            )
-            runs.append(run(cfg_i))
-        if reference == "oracle":
-            ref_field = oracle_solution(config, config.t_end)
-            if ref_field is None:
-                raise ValueError("no oracle available for this configuration")
+    for cfg in cfgs:
+        res = run(cfg)
+        if ref is None:
+            error = float(res.diagnostics.column("probe_se_accum")[-1])
         else:
-            ref_field = runs[-1].velocity
-        top = levels if reference == "oracle" else levels - 1
-        errors = [relative_l2_error(r.velocity, ref_field) for r in runs[:top]]
-        values = [config.dt / 2**i for i in range(top)]
-    elif axis == "n":
-        runs = []
-        for i in range(levels):
-            cfg_i = replace(config, n=config.n * 2**i, output_dir=None)
-            runs.append(run(cfg_i))
-        if reference == "oracle":
-            fine_cfg = replace(config, n=config.n * 2 ** (levels - 1))
-            ref_field = oracle_solution(fine_cfg, config.t_end)
-            if ref_field is None:
-                raise ValueError("no oracle available for this configuration")
-        else:
-            ref_field = runs[-1].velocity
-        top = levels if reference == "oracle" else levels - 1
-        errors = [
-            relative_l2_error(spectral_resample(r.velocity, ref_field.grid.n), ref_field)
-            for r in runs[:top]
-        ]
-        values = [config.n * 2**i for i in range(top)]
-    else:
-        errors = []
-        values = []
-        for i in range(levels):
-            m_i = config.realizations * 4**i
-            cfg_i = replace(config, realizations=m_i, output_dir=None)
-            res = run(cfg_i)
-            errors.append(float(res.diagnostics.column("probe_se_accum")[-1]))
-            values.append(m_i)
-
-    for i, (v, e) in enumerate(zip(values, errors)):
-        if i == 0:
-            order = float("nan")
-        else:
-            ratio_v = values[i - 1] / values[i] if axis != "n" else values[i] / values[i - 1]
+            error = relative_l2_error(spectral_resample(res.velocity, ref.grid.n), ref)
+        order = float("nan")
+        if rows:
+            # error falls with dt and n but is reported as a slope in M
+            prev = rows[-1]["error"]
+            num, den = (error, prev) if ref is None else (prev, error)
             with np.errstate(divide="ignore", invalid="ignore"):
-                order = float(np.log(errors[i - 1] / errors[i]) / np.log(ratio_v))
-            if axis == "realizations":
-                order = float(
-                    np.log(errors[i] / errors[i - 1]) / np.log(values[i] / values[i - 1])
-                )
-        rows.append({"axis": axis, "value": v, "error": e, "order": order})
+                order = float(np.log(np.divide(num, den)) / np.log(factor))
+        rows.append({"axis": axis, "value": getattr(cfg, axis), "error": error, "order": order})
     return rows

@@ -63,14 +63,7 @@ class WienerEnsemble:
         :meth:`increments`."""
         if not 0 <= m < self.realizations:
             raise ValueError("realization index out of range")
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        scale = np.sqrt(dt / self.substeps)
-        base = step * self.substeps
-        total = self._block(base, m + 1)[m]
-        for j in range(1, self.substeps):
-            total = total + self._block(base + j, m + 1)[m]
-        return total * scale
+        return self.subset(m + 1).increments(step, dt)[m]
 
     def subset(self, realizations: int) -> "WienerEnsemble":
         """First ``realizations`` paths of this ensemble (shared streams)."""

@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import pytest
 
 import slns.config
 from slns.cli import main
 from slns.config import compare_gates, load_config, save_effective
 from slns.errors import ConfigError
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples_cfg"
 
 BURGERS_CFG = """
 [run]
@@ -224,6 +228,20 @@ realizations = 2
         assert main(["run", str(p), "--set", override]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "circulation.center=a, b",
+            "circulation.radius=x",
+            "circulation.realizations=x",
+            "output.snapshot_interval=x",
+        ],
+    )
+    def test_non_numeric_value_exit_1(self, tmp_path, capsys, override):
+        p = write_cfg(tmp_path, TG_CFG)
+        assert main(["run", str(p), "--set", override]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_compare_gates_pass_and_fail(self, tmp_path, capsys):
         p = write_cfg(tmp_path, BURGERS_CFG)
         main(["run", str(p)])
@@ -242,6 +260,12 @@ realizations = 2
         csv = (tmp_path / "out" / "compare_analytic.csv").read_text().splitlines()
         l2_vals = [float(line.split(",")[1]) for line in csv[1:]]
         assert max(l2_vals) <= 1e-12
+
+    @pytest.mark.parametrize("args", [["--levels", "2"], ["--reference", "oracle"]])
+    def test_convergence_errors_exit_1(self, capsys, args):
+        cfg = EXAMPLES / "lans_alpha.cfg"  # has no oracle
+        assert main(["convergence", str(cfg), "--axis", "dt", *args]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_convergence_command(self, tmp_path, capsys):
         p = write_cfg(tmp_path, BURGERS_CFG)
@@ -277,6 +301,28 @@ class TestCompareOracles:
         main(["run", str(p)])
         assert main(["compare", str(tmp_path / "out"), "--oracle", "spectral_ns"]) == 0
         assert (tmp_path / "out" / "compare_spectral_ns.csv").exists()
+
+    def test_config_oracle_is_the_default(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, TG_CFG + "\n[compare]\noracle = spectral_ns\n")
+        main(["run", str(p)])
+        assert main(["compare", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "compare_spectral_ns.csv").exists()
+        assert not (tmp_path / "out" / "compare_analytic.csv").exists()
+        eff = tmp_path / "out" / "effective.cfg"
+        eff.write_text(eff.read_text().replace("spectral_ns", "bogus"))
+        assert main(["compare", str(tmp_path / "out")]) == 1
+        assert "bogus" in capsys.readouterr().err
+
+    def test_constant_forcing_analytic_is_forced_spectral(self, tmp_path):
+        # no closed form: the analytic oracle is the forced spectral reference
+        p = write_cfg(tmp_path, TG_CFG + CONSTANT_FORCING)
+        main(["run", str(p)])
+        out = tmp_path / "out"
+        assert main(["compare", str(out), "--oracle", "analytic"]) == 0
+        assert main(["compare", str(out), "--oracle", "spectral_ns"]) == 0
+        assert (out / "compare_analytic.csv").read_bytes() == (
+            out / "compare_spectral_ns.csv"
+        ).read_bytes()
 
     def test_convergence_against_oracle(self, tmp_path):
         p = write_cfg(tmp_path, BURGERS_CFG)

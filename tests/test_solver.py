@@ -273,8 +273,15 @@ class TestProbeSE:
 
 class TestConvergenceStudies:
     def test_requires_three_levels(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             convergence_study(tg_config(), "dt", 2)
+
+    def test_realization_axis_from_one_realization(self):
+        # one realization has no spread: the first slope is infinite, not
+        # a division error
+        cfg = burgers_config(n=32, t_end=0.01, realizations=1)
+        rows = convergence_study(cfg, "realizations", 3)
+        assert rows[0]["error"] == 0.0 and rows[1]["order"] == np.inf
 
     def test_euler_dt_order_two(self):
         # a non-steady inviscid flow shows the Heun-corrected scheme's
@@ -352,6 +359,22 @@ class TestOracleSolution:
         decay = np.exp(-taylor_green_decay_rate(L, cfg.nu) * 0.5)
         u0 = taylor_green_2d(cfg.grid())
         assert (ref - decay * u0).max_norm() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(),
+            dict(forcing="steady_taylor_green"),
+            dict(forcing="steady_taylor_green", forcing_params={"amplitude": 0.5}),
+        ],
+    )
+    def test_spectral_path_matches_closed_form(self, kw):
+        # the spectral reference and the Taylor-Green closed forms are two
+        # code paths for one solution
+        cfg = tg_config(n=32, **kw)
+        for t in (0.05, 0.5):
+            closed = oracle_solution(cfg, t)
+            assert relative_l2_error(oracle_solution(cfg, t, spectral=True), closed) <= 1e-12
 
     def test_generic_ns_oracle_runs(self):
         cfg = tg_config(
