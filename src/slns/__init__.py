@@ -14,9 +14,9 @@ from .flowmap import FlowEnsemble, invert_core, spde_residual, spde_residual_flo
 from .grid import Field, PeriodicGrid, l2_inner
 from .interp import FieldInterpolator, interpolate
 from .recovery import (
-    ForcingAccumulator,
     burgers_velocity,
     circulation,
+    forcing_increment,
     stochastic_velocity,
     transported_vorticity_2d,
     transported_vorticity_3d,
@@ -53,7 +53,6 @@ __all__ = [
     "Field",
     "FieldInterpolator",
     "FlowEnsemble",
-    "ForcingAccumulator",
     "NonFiniteVelocity",
     "NonInvertible",
     "PeriodicGrid",
@@ -69,6 +68,7 @@ __all__ = [
     "curl",
     "divergence",
     "export_csv",
+    "forcing_increment",
     "gradient",
     "helmholtz_invert",
     "interpolate",

@@ -19,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .config import compare_gates, load_config, save_effective
+from .config import COMPARE_GATES, compare_gates, load_config, save_effective
 from .errors import ConfigError, SLNSError
 from .grid import Field
 from .snapshots import read_snapshot
@@ -119,8 +119,9 @@ def _collect_overrides(args) -> dict:
 
 
 def cmd_run(args) -> int:
-    config = load_config(args.config, _collect_overrides(args))
-    gates = compare_gates(args.config)
+    overrides = _collect_overrides(args)
+    config = load_config(args.config, overrides)
+    gates = compare_gates(args.config, overrides)
     t0 = time.perf_counter()
     result = run_solver(config)
     wall = time.perf_counter() - t0
@@ -196,11 +197,10 @@ def cmd_compare(args) -> int:
         print(f"  t={r['time']:<8g} {cols}")
 
     failed = []
-    gate_map = {"l2_max": "l2", "rel_l2_max": "rel_l2", "linf_max": "linf"}
-    for gate_key, col in gate_map.items():
+    for gate_key, col in COMPARE_GATES.items():
         if gate_key in gates:
             worst = max(r[col] for r in rows)
-            if worst > float(gates[gate_key]):
+            if worst > gates[gate_key]:
                 failed.append(f"{col} {worst:.3e} > {gates[gate_key]}")
     if failed:
         print("gate failures: " + "; ".join(failed), file=sys.stderr)

@@ -25,7 +25,6 @@ amplitude = 1.0
 
 [forcing]                  # optional body force
 name = constant
-quadrature = left
 vector = 0.1               # one component per dimension
 
 [circulation]              # optional per-step circulation probe
@@ -68,7 +67,6 @@ _RUN_KEYS = {
     "realizations": int,
     "reset_interval": int,
     "picard_iters": int,
-    "picard_tol": float,
     "seed": int,
     "backend": str,
     "interpolation": str,
@@ -77,8 +75,9 @@ _RUN_KEYS = {
     "newton_max_iter": int,
     "workers": int,
     "substeps": int,
-    "track_vorticity": bool,
 }
+# [compare] gate -> the column of compare_<oracle>.csv it bounds
+COMPARE_GATES = {"l2_max": "l2", "rel_l2_max": "rel_l2", "linf_max": "linf"}
 
 
 def _parse_scalar(text: str):
@@ -101,10 +100,7 @@ def _parse_scalar(text: str):
 def _parse_typed(raw: str, want: type, what: str):
     """``raw`` as a value of type ``want`` (str passes through)."""
     val = _parse_scalar(raw)
-    if want is bool:
-        if not isinstance(val, bool):
-            raise ConfigError(f"{what} must be true/false")
-    elif want is int:
+    if want is int:
         if isinstance(val, bool) or not isinstance(val, int):
             raise ConfigError(f"{what} must be an integer")
     elif want is float:
@@ -129,12 +125,8 @@ def _parse_points(text: str, dim: int) -> list:
     return [_parse_vector(c, dim, "probe point") for c in text.split(";") if c.strip()]
 
 
-def load_config(path: str | Path, overrides: dict | None = None) -> SolverConfig:
-    """Read a config file and build a validated :class:`SolverConfig`.
-
-    ``overrides`` maps ``"section.key"`` to replacement string values and
-    wins over file contents (the CLI feeds its flags through here).
-    """
+def _read(path: str | Path, overrides: dict | None) -> configparser.ConfigParser:
+    """The parsed file with ``overrides`` (``"section.key"`` -> string) applied."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -152,7 +144,16 @@ def load_config(path: str | Path, overrides: dict | None = None) -> SolverConfig
             if not parser.has_section(section):
                 parser.add_section(section)
             parser.set(section, key, str(value))
+    return parser
 
+
+def load_config(path: str | Path, overrides: dict | None = None) -> SolverConfig:
+    """Read a config file and build a validated :class:`SolverConfig`.
+
+    ``overrides`` maps ``"section.key"`` to replacement string values and
+    wins over file contents (the CLI feeds its flags through here).
+    """
+    parser = _read(path, overrides)
     known_sections = {"run", "initial", "forcing", "circulation", "output", "compare"}
     unknown = set(parser.sections()) - known_sections
     if unknown:
@@ -176,7 +177,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> SolverConfig
         name = items.pop("name", None)
         if name is not None:
             kwargs["forcing"] = name
-        kwargs["forcing_quadrature"] = items.pop("quadrature", "left")
         params = {k: _parse_scalar(v) for k, v in items.items()}
         if "vector" in items:
             params["vector"] = _parse_vector(items["vector"], dim, "[forcing] vector")
@@ -218,13 +218,20 @@ def load_config(path: str | Path, overrides: dict | None = None) -> SolverConfig
         raise ConfigError(str(exc)) from None
 
 
-def compare_gates(path: str | Path) -> dict:
-    """Default oracle and tolerances for ``slns compare``; empty when absent."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    parser.read(Path(path))
-    if not parser.has_section("compare"):
-        return {}
-    return {k: _parse_scalar(v) for k, v in parser.items("compare")}
+def compare_gates(path: str | Path, overrides: dict | None = None) -> dict:
+    """Default oracle and tolerances for ``slns compare``; empty when absent.
+
+    ``overrides`` apply as in :func:`load_config`; the keys are ``oracle``
+    and the numeric gates ``l2_max``, ``rel_l2_max`` and ``linf_max``.
+    """
+    parser = _read(path, overrides)
+    gates = dict(parser.items("compare")) if parser.has_section("compare") else {}
+    for key, raw in gates.items():
+        if key in COMPARE_GATES:
+            gates[key] = _parse_typed(raw, float, f"[compare] {key}")
+        elif key != "oracle":
+            raise ConfigError(f"unknown [compare] key {key!r}")
+    return gates
 
 
 def save_effective(config: SolverConfig, path: str | Path, gates: dict | None = None) -> None:
@@ -232,12 +239,7 @@ def save_effective(config: SolverConfig, path: str | Path, gates: dict | None = 
     parser = configparser.ConfigParser()
     parser.add_section("run")
     for key in _RUN_KEYS:
-        val = getattr(config, key)
-        if key == "track_vorticity":
-            if val is None:
-                continue
-            val = "true" if val else "false"
-        parser.set("run", key, _fmt_value(val))
+        parser.set("run", key, _fmt_value(getattr(config, key)))
 
     parser.add_section("initial")
     parser.set("initial", "name", config.initial)
@@ -247,7 +249,6 @@ def save_effective(config: SolverConfig, path: str | Path, gates: dict | None = 
     if config.forcing is not None:
         parser.add_section("forcing")
         parser.set("forcing", "name", config.forcing)
-        parser.set("forcing", "quadrature", config.forcing_quadrature)
         for k, v in config.forcing_params.items():
             parser.set("forcing", k, _fmt_value(v))
 

@@ -20,8 +20,6 @@ flow, so the per-realization diagnostics read it instead of rebuilding it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .flowmap import FlowEnsemble, translate_batch
@@ -208,70 +206,29 @@ def filtered_velocity_pair(
 
 
 # ---------------------------------------------------------------------------
-# forcing accumulators
+# forcing
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ForcingAccumulator:
-    """Label-side velocity forcing integral.
+def forcing_increment(flow: FlowEnsemble, forcing, t: float) -> np.ndarray:
+    """``(grad^T X) f(X, t)`` for the current forward maps.
 
-    Accumulates ``(grad^T X) f(X_s, s)``; with ``f = 0`` the values stay
-    equal to the initial label data forever. ``values`` is shared
-    ``(c,) + shape`` until a nonzero-noise, mid-window accumulation forces
-    per-realization values ``(M, c) + shape``.
+    The forced Weber formula's label data is ``u0`` plus the time integral
+    of this field over the label window. It is shared ``(c,) + shape``
+    while the maps are the identity and ``(M, c) + shape`` once they move.
     """
-
-    grid: PeriodicGrid
-    values: np.ndarray
-
-    @classmethod
-    def start(cls, grid: PeriodicGrid, label0) -> "ForcingAccumulator":
-        return cls(grid, _label_array(label0).copy())
-
-    @property
-    def per_realization(self) -> bool:
-        return self.values.ndim == self.grid.dim + 2
-
-    def _increment(self, flow: FlowEnsemble, forcing, t: float) -> np.ndarray:
-        """Integrand at time ``t`` for the current forward maps."""
-        grid = self.grid
-        d = grid.dim
-        coords = grid.coordinates().reshape(d, -1)
-        if flow.is_identity():
-            fvals = np.asarray(forcing(coords.reshape((d,) + grid.shape), t))
-            return fvals  # grad X = I
-        xi = flow.xi_general().reshape(flow.m, d, -1)
-        pts = xi + coords[None] + flow.shifts[:, :, None]
-        fvals = np.stack(
-            [np.asarray(forcing(pts[i].reshape((d,) + grid.shape), t)) for i in range(flow.m)]
-        )
-        gx = np.broadcast_to(flow.grad_x_core(), (flow.m, d, d) + grid.shape)
-        # (grad^T X) f, with [m, j, i] = d_i X_j
-        return np.einsum("mji...,mj...->mi...", gx, fvals)
-
-    def advanced(
-        self,
-        flow_start: FlowEnsemble,
-        forcing,
-        t: float,
-        dt: float,
-        scheme: str = "left",
-        flow_end: FlowEnsemble | None = None,
-    ) -> "ForcingAccumulator":
-        """Accumulator after one step.  ``left`` uses the start-of-step maps
-        only; ``trapezoid`` (refinement flag) averages start and end."""
-        inc = self._increment(flow_start, forcing, t)
-        if not inc.any() and scheme == "left":
-            return ForcingAccumulator(self.grid, self.values)
-        if scheme == "trapezoid":
-            if flow_end is None:
-                raise ValueError("trapezoid accumulation needs the end-of-step maps")
-            # shared (c,) + shape and per-realization (M, c) + shape broadcast
-            inc = 0.5 * (inc + self._increment(flow_end, forcing, t + dt))
-        elif scheme != "left":
-            raise ValueError(f"unknown forcing quadrature {scheme!r}")
-        return ForcingAccumulator(self.grid, self.values + dt * inc)
+    grid = flow.grid
+    d = grid.dim
+    coords = grid.coordinates().reshape(d, -1)
+    if flow.is_identity():
+        return np.asarray(forcing(coords.reshape((d,) + grid.shape), t))  # grad X = I
+    pts = flow.xi_general().reshape(flow.m, d, -1) + coords[None] + flow.shifts[:, :, None]
+    fvals = np.stack(
+        [np.asarray(forcing(pts[i].reshape((d,) + grid.shape), t)) for i in range(flow.m)]
+    )
+    gx = np.broadcast_to(flow.grad_x_core(), (flow.m, d, d) + grid.shape)
+    # (grad^T X) f, with [m, j, i] = d_i X_j
+    return np.einsum("mji...,mj...->mi...", gx, fvals)
 
 
 # ---------------------------------------------------------------------------

@@ -315,7 +315,9 @@ def cole_hopf_burgers(
     ``theta = exp(-psi / (2 nu))`` turns Burgers into the heat equation;
     ``theta`` is evolved exactly mode by mode and the series is evaluated
     at ``x_points`` with the mode count chosen so the truncation error
-    sits at machine precision.
+    sits below rounding. Rounding where ``theta`` is small sets the floor:
+    for the unit sine mode (n = 256) the max error is ~1e-10 at nu = 0.1,
+    8e-7 at nu = 0.05 and 0.3 at nu = 0.03.
     """
     if nu <= 0:
         raise ValueError("Cole-Hopf needs nu > 0")

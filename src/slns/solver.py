@@ -39,9 +39,9 @@ from .errors import CFLViolation, ConfigError, NonFiniteVelocity
 from .flowmap import FlowEnsemble
 from .grid import Field, PeriodicGrid
 from .recovery import (
-    ForcingAccumulator,
     burgers_velocity,
     circulation,
+    forcing_increment,
     probe_spread,
     realization_field,
     transported_vorticity_2d,
@@ -81,8 +81,8 @@ class SolverConfig:
     """Full description of one run; every field has a validated default.
 
     ``interpolation`` selects the composition scheme ("cubic" splines by
-    default, "linear" as the fast fallback). ``picard_tol = 0`` runs a
-    fixed number of Picard passes, which keeps runs bit-reproducible.
+    default, "linear" as the fast fallback). Every step runs exactly
+    ``picard_iters`` Picard passes, which keeps runs bit-reproducible.
     ``substeps`` refines the Brownian paths so runs at coarser ``dt`` can
     share noise with finer ones (common random numbers).
     """
@@ -98,7 +98,6 @@ class SolverConfig:
     realizations: int = 64
     reset_interval: int = 1
     picard_iters: int = 2
-    picard_tol: float = 0.0
     seed: int = 0
     backend: str = "direct_sde"
     interpolation: str = "cubic"
@@ -111,8 +110,6 @@ class SolverConfig:
     initial_params: dict = dataclass_field(default_factory=dict)
     forcing: str | None = None
     forcing_params: dict = dataclass_field(default_factory=dict)
-    forcing_quadrature: str = "left"
-    track_vorticity: bool | None = None
     snapshot_interval: int = 0
     probes: list | None = None
     circulation_curve: dict | None = None
@@ -140,8 +137,6 @@ class SolverConfig:
             raise ConfigError("picard_iters must be >= 1")
         if self.interpolation not in ("cubic", "linear", "quintic"):
             raise ConfigError("interpolation must be 'cubic', 'linear' or 'quintic'")
-        if self.forcing_quadrature not in ("left", "trapezoid"):
-            raise ConfigError("forcing_quadrature must be 'left' or 'trapezoid'")
         steps = self.t_end / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ConfigError("t_end must be an integer multiple of dt")
@@ -149,6 +144,8 @@ class SolverConfig:
             PeriodicGrid(self.dim, self.n, self.length)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if self.forcing is not None or self.forcing_params:
+            make_forcing(self.forcing, self)
 
     @property
     def num_steps(self) -> int:
@@ -188,13 +185,13 @@ class SolverConfig:
 
 
 def make_forcing(name: str, config: SolverConfig):
-    """Named forcings evaluated at arbitrary points: ``f(points, t)``."""
+    """Named forcings ``f(points, t)``; a parameter they do not read is a ConfigError."""
     params = dict(config.forcing_params)
     L = config.length
     if name == "steady_taylor_green":
         # Balances viscous decay of the 2D cellular field so it is a
         # steady solution: f = -nu * Lap(u0) = 2 nu (2pi/L)^2 u0.
-        amp = params.get("amplitude", 1.0)
+        amp = params.pop("amplitude", 1.0)
         k = 2.0 * np.pi / L
         coef = 2.0 * config.nu * k**2 * amp
 
@@ -202,9 +199,8 @@ def make_forcing(name: str, config: SolverConfig):
             x, y = points[0], points[1]
             return coef * np.stack([np.cos(k * x) * np.sin(k * y), -np.sin(k * x) * np.cos(k * y)])
 
-        return f
-    if name == "constant":
-        vec = params.get("vector", [0.0] * config.dim)
+    elif name == "constant":
+        vec = params.pop("vector", [0.0] * config.dim)
         if np.shape(vec) != (config.dim,):
             raise ConfigError(f"constant forcing vector must have {config.dim} numbers")
         vec = np.asarray(vec, dtype=np.float64)
@@ -213,8 +209,11 @@ def make_forcing(name: str, config: SolverConfig):
             shape = points.shape[1:]
             return np.broadcast_to(vec.reshape((config.dim,) + (1,) * len(shape)), (config.dim,) + shape)
 
-        return f
-    raise ConfigError(f"unknown forcing {name!r}")
+    else:
+        raise ConfigError(f"unknown forcing {name!r}")
+    if params:
+        raise ConfigError(f"[forcing] {name} does not read {sorted(params)}")
+    return f
 
 
 def named_curve(spec: dict, length: float):
@@ -323,19 +322,13 @@ class StochasticSolver:
         self.pin_mean = config.equation != "burgers" or config.dim == 1
         self.mean_target = self.labels_u.mean(axis=tuple(range(1, self.labels_u.ndim)))
 
-        track = config.track_vorticity
-        if track is None:
-            track = config.dim == 2 and incompressible
-        self.track_vorticity = track
-        self.labels_omega = (
-            curl_values(self.labels_u, self.ws)[np.newaxis] if track else None
-        )
-        self.omega_values = self.labels_omega.copy() if track else None
-
+        # 2D vorticity is transported from its labels; forced windows add the
+        # forcing to the label velocity only, so they report its curl instead
         self.forcing = config.forcing_fn()
-        self.acc = (
-            ForcingAccumulator.start(self.grid, self.labels_u) if self.forcing else None
-        )
+        self.labels_omega = self.omega_values = None
+        if config.dim == 2 and incompressible and self.forcing is None:
+            self.labels_omega = curl_values(self.labels_u, self.ws)[np.newaxis]
+            self.omega_values = self.labels_omega.copy()
 
         self.curve = (
             named_curve(config.circulation_curve, config.length)
@@ -410,14 +403,15 @@ class StochasticSolver:
             dw = self.ensemble.increments(self.step_index, cfg.dt)
             noise = np.sqrt(2.0 * cfg.nu) * dw
 
-        phi_candidate = None
-        if self.forcing is not None and cfg.forcing_quadrature == "left":
-            phi_candidate = self.acc.advanced(self.flow, self.forcing, self.t, cfg.dt)
+        # label data of the forced Weber formula: u0 plus the left-point sum
+        # of (grad^T X) f(X) over the window so far
+        label_u = self.labels_u
+        if self.forcing is not None:
+            inc = forcing_increment(self.flow, self.forcing, self.t)
+            if inc.any():
+                label_u = self.labels_u + cfg.dt * inc
 
         drift = self.u_values
-        u_prev_pass: np.ndarray | None = None
-        trial = self.flow
-        label_u = self.labels_u
         chi = None
         for it in range(cfg.picard_iters):
             # Correction passes integrate the time-averaged drift along the
@@ -429,34 +423,22 @@ class StochasticSolver:
             # characteristic function built by the first pass serves all
             trial.chi = chi
             trial.invert()
-            if self.forcing is not None and cfg.forcing_quadrature == "trapezoid":
-                phi_candidate = self.acc.advanced(
-                    self.flow, self.forcing, self.t, cfg.dt, "trapezoid", flow_end=trial
-                )
-            label_u = phi_candidate.values if phi_candidate is not None else self.labels_u
             v_new = self._recover(trial, label_u)
             chi = trial.chi
             u_new = self._drift_from_momentum(v_new)
             self._max_speed(u_new)
-            if (
-                u_prev_pass is not None
-                and cfg.picard_tol > 0.0
-                and float(np.max(np.abs(u_new - u_prev_pass))) <= cfg.picard_tol
-            ):
-                break
             drift = 0.5 * (self.u_values + u_new)
-            u_prev_pass = u_new
 
         # commit
         self.flow = trial
         self.v_values = v_new
         self.u_values = u_new
+        self.labels_u = label_u
         if self.forcing is not None:
             self.mean_target = self.mean_target + cfg.dt * np.asarray(
                 self.forcing(self.grid.coordinates(), self.t)
             ).mean(axis=tuple(range(1, 1 + self.grid.dim)))
-            self.acc = phi_candidate
-        if self.track_vorticity:
+        if self.labels_omega is not None:
             self.omega_values = transported_vorticity_2d(trial, self.labels_omega)
         self.t += cfg.dt
         self.step_index += 1
@@ -465,10 +447,8 @@ class StochasticSolver:
 
         if self.step_index % cfg.reset_interval == 0:
             self.labels_u = self.v_values.copy()
-            if self.track_vorticity:
+            if self.labels_omega is not None:
                 self.labels_omega = self.omega_values.copy()
-            if self.acc is not None:
-                self.acc = ForcingAccumulator.start(self.grid, self.labels_u)
             self.flow.reset()
 
         self.wall_times.append(_time.perf_counter() - t_start)
@@ -708,6 +688,8 @@ def convergence_study(
     }
     if levels < 3:
         raise ConfigError("a convergence study needs at least 3 levels")
+    if reference not in ("self", "oracle"):
+        raise ConfigError(f"reference must be 'self' or 'oracle', got {reference!r}")
     if axis not in refine:
         raise ConfigError("axis must be 'dt', 'n' or 'realizations'")
     cfgs = [replace(config, output_dir=None, **refine[axis](i)) for i in range(levels)]

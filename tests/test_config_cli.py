@@ -166,7 +166,6 @@ class TestCLI:
         sections = """
 [forcing]
 name = steady_taylor_green
-quadrature = trapezoid
 
 [circulation]
 kind = circle
@@ -188,6 +187,20 @@ realizations = 2
         assert main(["run", str(p)]) == 0
         assert main(["run", str(p), "--set", "forcing.vector=0.1,0.0,0.0"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "name = steady_taylor_green\namplitud = 2",
+            "name = steady_taylor_green\nquadrature = left",
+            "nme = constant\nvector = 0.1, 0.0",  # no forcing name: not unforced
+        ],
+        ids=["amplitud", "quadrature", "nameless"],
+    )
+    def test_unknown_forcing_key_exit_1(self, tmp_path, capsys, lines):
+        p = write_cfg(tmp_path, TG_CFG + f"\n[forcing]\n{lines}\n")
+        assert main(["run", str(p)]) == 1
+        assert "forcing" in capsys.readouterr().err
 
     def test_workers_flag_invariant(self, tmp_path, monkeypatch):
         p = write_cfg(tmp_path, TG_CFG)
@@ -252,6 +265,22 @@ realizations = 2
         eff.write_text(text)
         assert main(["compare", str(tmp_path / "out"), "--oracle", "cole_hopf"]) == 1
 
+    @pytest.mark.parametrize(
+        "override, run_code, compare_code",
+        [
+            ("compare.linf_max=1e-30", 0, 1),  # an override gates like a file value
+            ("compare.rel_l2_mx=0.1", 1, None),
+            ("compare.rel_l2_max=abc", 1, None),
+        ],
+    )
+    def test_compare_section_validated(self, tmp_path, capsys, override, run_code, compare_code):
+        p = write_cfg(tmp_path, BURGERS_CFG)
+        assert main(["run", str(p), "--set", override]) == run_code
+        if compare_code is None:
+            assert "error:" in capsys.readouterr().err
+        else:
+            assert main(["compare", str(tmp_path / "out")]) == compare_code
+
     def test_compare_run_against_its_own_field(self, tmp_path):
         # comparing the t=0 snapshot against the analytic initial state
         p = write_cfg(tmp_path, TG_CFG)
@@ -287,6 +316,13 @@ realizations = 2
         p = write_cfg(tmp_path, BURGERS_CFG)
         assert main(["info", str(p)]) == 0
         assert "valid" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cfg", sorted(EXAMPLES.glob("*.cfg")), ids=lambda p: p.name)
+def test_example_config_is_valid(cfg):
+    # an example that keeps a removed or misspelt key fails here
+    assert main(["info", str(cfg)]) == 0
+    compare_gates(cfg)
 
 
 class TestCompareOracles:

@@ -7,10 +7,10 @@ from conftest import fit_order
 from slns.flowmap import FlowEnsemble
 from slns.grid import Field, PeriodicGrid
 from slns.recovery import (
-    ForcingAccumulator,
     burgers_velocity,
     circulation,
     filtered_velocity_pair,
+    forcing_increment,
     probe_spread,
     realization_field,
     stochastic_velocity,
@@ -240,20 +240,19 @@ class TestFilteredPair:
 
 class TestForcing:
     def test_zero_forcing_keeps_labels(self, grid2d):
-        u0 = taylor_green_2d(grid2d)
-        acc = ForcingAccumulator.start(grid2d, u0.values)
-        fe = noisy_flow(grid2d, 2, nu=0.05, dt=5e-3, seed=1, drift=u0.values)
+        fe = noisy_flow(grid2d, 2, nu=0.05, dt=5e-3, seed=1, drift=taylor_green_2d(grid2d).values)
 
         def f(points, t):
             return np.zeros((2,) + points.shape[1:])
 
-        for t in (0.0, 0.005, 0.01):
-            acc = acc.advanced(fe, f, t, 5e-3)
-        assert np.array_equal(acc.values, u0.values)
+        # the solver keeps the label array itself when the increment is zero
+        for flow in (FlowEnsemble(grid2d, 2), fe):
+            for t in (0.0, 0.005, 0.01):
+                assert not forcing_increment(flow, f, t).any()
 
     def test_frozen_identity_constant_force(self, grid2d):
         u0 = taylor_green_2d(grid2d)
-        acc = ForcingAccumulator.start(grid2d, u0.values)
+        labels = u0.values
         fe = FlowEnsemble(grid2d, 2)  # X = I frozen
         cvec = np.array([0.3, -0.1])
 
@@ -262,35 +261,20 @@ class TestForcing:
 
         dt, steps = 0.02, 7
         for j in range(steps):
-            acc = acc.advanced(fe, f, j * dt, dt)
+            inc = forcing_increment(fe, f, j * dt)
+            assert inc.shape == (2,) + grid2d.shape  # shared while X = I
+            labels = labels + dt * inc
         exact = u0.values + steps * dt * cvec[:, None, None]
-        assert np.max(np.abs(acc.values - exact)) <= 1e-13
-
-    def test_trapezoid_matches_left_for_frozen_maps(self, grid2d):
-        u0 = taylor_green_2d(grid2d)
-        fe = FlowEnsemble(grid2d, 1)
-        cvec = np.array([1.0, 2.0])
-
-        def f(points, t):
-            return np.broadcast_to(cvec[:, None, None], (2,) + points.shape[1:])
-
-        left = ForcingAccumulator.start(grid2d, u0.values).advanced(fe, f, 0.0, 0.1)
-        trap = ForcingAccumulator.start(grid2d, u0.values).advanced(
-            fe, f, 0.0, 0.1, scheme="trapezoid", flow_end=fe
-        )
-        assert np.max(np.abs(left.values - trap.values)) <= 1e-14
+        assert np.max(np.abs(labels - exact)) <= 1e-13
 
     def test_moving_maps_promote_per_realization(self, grid2d):
         u0 = taylor_green_2d(grid2d)
-        acc = ForcingAccumulator.start(grid2d, u0.values)
         fe = noisy_flow(grid2d, 3, nu=0.05, dt=5e-3, seed=9, drift=u0.values)
 
         def f(points, t):
             return np.stack([np.sin(points[0]), np.cos(points[1])])
 
-        acc2 = acc.advanced(fe, f, 0.0, 5e-3)
-        assert acc2.per_realization
-        assert acc2.values.shape == (3, 2) + grid2d.shape
+        assert forcing_increment(fe, f, 0.0).shape == (3, 2) + grid2d.shape
 
 
 class TestCirculation:

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import fit_order
 import slns.flowmap
+import slns.solver
 from slns.config import compare_gates
 from slns.errors import CFLViolation, ConfigError, NonFiniteVelocity, NonInvertible
 from slns.flowmap import FlowEnsemble
@@ -23,6 +24,7 @@ from slns.solver import (
     run,
     spectral_resample,
 )
+from slns.spectral import curl_values, workspace
 
 L = 2 * np.pi
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples_cfg"
@@ -210,15 +212,9 @@ class TestPicardPasses:
         solver.step()
         assert len(calls) == 1
 
-    def test_tolerance_ends_loop_after_second_pass(self, monkeypatch):
-        passes = _count_calls(monkeypatch, FlowEnsemble, "advanced")
-        cfg = tg_config(n=32, realizations=8, picard_iters=5, picard_tol=1e30)
-        StochasticSolver(cfg).step()
-        assert len(passes) == 2
-
     def test_zero_tolerance_runs_every_pass(self, monkeypatch):
         passes = _count_calls(monkeypatch, FlowEnsemble, "advanced")
-        cfg = tg_config(n=32, realizations=8, picard_iters=5, picard_tol=0.0)
+        cfg = tg_config(n=32, realizations=8, picard_iters=5)
         StochasticSolver(cfg).step()
         assert len(passes) == 5
 
@@ -275,6 +271,14 @@ class TestConvergenceStudies:
     def test_requires_three_levels(self):
         with pytest.raises(ConfigError):
             convergence_study(tg_config(), "dt", 2)
+
+    def test_unknown_reference_rejected_before_any_run(self, monkeypatch):
+        def boom(cfg):
+            raise AssertionError("a level ran before the reference was checked")
+
+        monkeypatch.setattr(slns.solver, "run", boom)
+        with pytest.raises(ConfigError, match="orcale"):
+            convergence_study(burgers_config(), "dt", 3, reference="orcale")
 
     def test_realization_axis_from_one_realization(self):
         # one realization has no spread: the first slope is infinite, not
@@ -386,14 +390,7 @@ class TestOracleSolution:
 
 
 class TestForcedWindows:
-    @pytest.mark.parametrize(
-        "window",
-        [
-            dict(reset_interval=2),
-            dict(forcing_quadrature="trapezoid"),
-            dict(reset_interval=2, forcing_quadrature="trapezoid"),
-        ],
-    )
+    @pytest.mark.parametrize("window", [dict(reset_interval=2)])
     def test_per_realization_forcing_labels(self, window):
         # moving maps turn the accumulated forcing into one label field per
         # realization; the steady state must still hold to the example's gate
@@ -403,6 +400,21 @@ class TestForcedWindows:
         )
         res = run(cfg)
         assert relative_l2_error(res.velocity, oracle_solution(cfg, cfg.t_end)) <= gate
+
+    @pytest.mark.parametrize("reset_interval", [1, 2])
+    def test_vorticity_is_curl_of_velocity(self, reset_interval):
+        # the forcing enters the label velocity only, so vorticity transported
+        # from unforced labels would miss it
+        cfg = SolverConfig(
+            n=32,
+            realizations=64,
+            t_end=0.1,
+            forcing="steady_taylor_green",
+            reset_interval=reset_interval,
+        )
+        res = run(cfg)
+        curl = curl_values(res.velocity.values, workspace(cfg.grid()))
+        assert abs(res.diagnostics.column("max_vorticity")[-1] - np.max(np.abs(curl))) <= 1e-12
 
 
 class TestCirculationDiagnostics:
