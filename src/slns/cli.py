@@ -2,9 +2,9 @@
 
 Subcommands: ``run`` (execute a config), ``compare`` (diff a finished run
 directory against an oracle), ``convergence`` (refinement studies),
-``info`` (environment and registry listing). ``--workers`` falls back to
-the ``SLNS_WORKERS`` environment variable. Exit codes: 1 config/usage
-problems, 2 CFL violation, 3 failed map inversion, 4 non-finite velocity.
+``info`` (environment and registry listing). Exit codes: 1 config/usage
+problems (an unknown flag or a bad choice too), 2 CFL violation, 3 failed
+map inversion, 4 non-finite velocity.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -35,10 +34,16 @@ from .solver import (
 ORACLES = ("cole_hopf", "spectral_ns", "analytic")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are :exc:`ConfigError` (exit 1); argparse's 2 is the CFL code."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except SLNSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -46,7 +51,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slns",
         description="Stochastic Lagrangian solver for periodic incompressible flow",
     )
@@ -85,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _common_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="override [run] seed")
-    p.add_argument("--workers", type=int, help="realization-loop parallelism")
     p.add_argument("--output-dir", help="override [output] dir")
     p.add_argument(
         "--set",
@@ -105,11 +109,6 @@ def _collect_overrides(args) -> dict:
         overrides[dotted.strip()] = value.strip()
     if args.seed is not None:
         overrides["run.seed"] = str(args.seed)
-    workers = args.workers
-    if workers is None and os.environ.get("SLNS_WORKERS"):
-        workers = int(os.environ["SLNS_WORKERS"])
-    if workers is not None:
-        overrides["run.workers"] = str(workers)
     if args.output_dir is not None:
         overrides["output.dir"] = args.output_dir
     return overrides

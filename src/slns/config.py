@@ -229,6 +229,8 @@ def compare_gates(path: str | Path, overrides: dict | None = None) -> dict:
     for key, raw in gates.items():
         if key in COMPARE_GATES:
             gates[key] = _parse_typed(raw, float, f"[compare] {key}")
+            if not np.isfinite(gates[key]):  # `worst > nan` never fails
+                raise ConfigError(f"[compare] {key} must be finite, got {raw!r}")
         elif key != "oracle":
             raise ConfigError(f"unknown [compare] key {key!r}")
     return gates

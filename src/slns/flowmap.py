@@ -51,38 +51,30 @@ DEFAULT_MAX_NEWTON = 25
 # ---------------------------------------------------------------------------
 
 
-def _solve_pointwise(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``J delta = r`` for stacks of 1x1/2x2/3x3 systems.
+def _cofactors(jac: np.ndarray) -> tuple[list, np.ndarray]:
+    """Cofactor table ``C[i][j]`` and determinant of ``d x d`` matrices.
 
-    ``jac`` has shape ``(d, d, n)``, ``rhs`` ``(d, n)``.
+    ``jac[i, j]`` is an array over points (``d <= 3``). The determinant is
+    ``sum_j jac[0, j] C[0][j]`` and the inverse is ``C^T / det``; the 3x3
+    cofactors are the cyclic minors ``J[i+1][j+1] J[i+2][j+2] -
+    J[i+1][j+2] J[i+2][j+1]``, indices mod 3.
     """
-    d = rhs.shape[0]
+    d = len(jac)
     if d == 1:
-        return rhs / jac[0, 0]
-    if d == 2:
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        out = np.empty_like(rhs)
-        out[0] = (jac[1, 1] * rhs[0] - jac[0, 1] * rhs[1]) / det
-        out[1] = (-jac[1, 0] * rhs[0] + jac[0, 0] * rhs[1]) / det
-        return out
-    a, b, c = jac[0, 0], jac[0, 1], jac[0, 2]
-    e, f, g = jac[1, 0], jac[1, 1], jac[1, 2]
-    h, i, j = jac[2, 0], jac[2, 1], jac[2, 2]
-    co00 = f * j - g * i
-    co01 = g * h - e * j
-    co02 = e * i - f * h
-    det = a * co00 + b * co01 + c * co02
-    co10 = c * i - b * j
-    co11 = a * j - c * h
-    co12 = b * h - a * i
-    co20 = b * g - c * f
-    co21 = c * e - a * g
-    co22 = a * f - b * e
-    out = np.empty_like(rhs)
-    out[0] = (co00 * rhs[0] + co10 * rhs[1] + co20 * rhs[2]) / det
-    out[1] = (co01 * rhs[0] + co11 * rhs[1] + co21 * rhs[2]) / det
-    out[2] = (co02 * rhs[0] + co12 * rhs[1] + co22 * rhs[2]) / det
-    return out
+        cof = [[1.0]]
+    elif d == 2:
+        cof = [[jac[1, 1], -jac[1, 0]], [-jac[0, 1], jac[0, 0]]]
+    else:  # i + 1 = i - 2 and i + 2 = i - 1 (mod 3)
+        cof = [[jac[i - 2, j - 2] * jac[i - 1, j - 1] - jac[i - 2, j - 1] * jac[i - 1, j - 2]
+                for j in range(3)] for i in range(3)]
+    return cof, sum(jac[0, j] * cof[0][j] for j in range(d))
+
+
+def _newton_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``J^{-1} r = C^T r / det`` for ``jac`` ``(d, d, n)`` and ``rhs`` ``(d, n)``."""
+    cof, det = _cofactors(jac)
+    d = len(jac)
+    return np.stack([sum(cof[i][j] * rhs[i] for i in range(d)) for j in range(d)]) / det
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +122,7 @@ def invert_core(
         jac = grad_interp.at(a_act).reshape(d, d, -1)
         for i in range(d):
             jac[i, i] += 1.0
-        delta = _solve_pointwise(jac, r_act)
+        delta = _newton_step(jac, r_act)
         step = 1.0
         trial = a_act - delta
         r_trial = residual(trial, x_act)
@@ -261,7 +253,6 @@ class FlowEnsemble:
         new = self._spawn()
         # zero drift leaves the cores alone: the step is a pure translation
         if u_values.any():
-            drift = FieldInterpolator(grid, u_values, order=self.order)
             # one deterministic core while every shift is zero, else one map
             # per realization evaluated at its shifted points
             shared = self.mode == "shared" and not self.shifts.any()
@@ -270,10 +261,10 @@ class FlowEnsemble:
             if not shared:
                 pts = pts + self.shifts[:, :, None]
             flat = np.moveaxis(pts, -2, 0).reshape(d, -1)
-            if shared and not xi.any():
-                k1 = u_values.reshape(d, -1)  # nodes: no interpolation needed
-            else:
-                k1 = drift.at(flat)
+            at_nodes = shared and not xi.any()  # identity core: no interpolation
+            if not at_nodes or stages == 2:
+                drift = FieldInterpolator(grid, u_values, order=self.order)
+            k1 = u_values.reshape(d, -1) if at_nodes else drift.at(flat)
             if stages == 1:
                 incr = dt * k1
             else:
@@ -338,30 +329,34 @@ class FlowEnsemble:
             self.chi = shift_mean_multiplier(self.shifts, ws)
         return self.chi
 
+    def _jacobian_cofactors(self) -> tuple[np.ndarray, list, np.ndarray]:
+        """Forward-map Jacobian with its matrix axes first, and its
+        cofactor table and determinant (see :func:`_cofactors`)."""
+        d = self.grid.dim
+        jac = np.moveaxis(self.grad_x_core(), (-d - 2, -d - 1), (0, 1))
+        return (jac,) + _cofactors(jac)
+
     def max_det_deviation(self) -> float:
         """``max |det(grad X) - 1|`` over grid and realizations, without
         materializing per-realization copies in shared mode."""
-        det = _det_from_grad(self.grad_x_core(), self.grid.dim)
+        det = self._jacobian_cofactors()[2]
         return float(np.max(np.abs(det - 1.0)))
 
     def det_jacobian(self) -> np.ndarray:
         """Pointwise ``det(grad X)`` per realization, a read-only
         ``(M,) + shape`` view."""
-        det = _det_from_grad(self.grad_x_core(), self.grid.dim)
+        det = self._jacobian_cofactors()[2]
         return np.broadcast_to(det, (self.m,) + self.grid.shape)
 
     def max_condition_estimate(self) -> float:
         """Frobenius condition number ``||J||_F ||J^{-1}||_F`` of the
         forward-map Jacobian, maximized over the grid (and realizations).
-        Values above ~1e6 signal an ill-conditioned label window."""
-        g = self.grad_x_core()
-        d = self.grid.dim
-        det = _det_from_grad(g, d)
-        mat_axes = (g.ndim - d - 2, g.ndim - d - 1)
-        fro2 = np.sum(g**2, axis=mat_axes)
-        adj_fro2 = _adjugate_frobenius_sq(g, d, mat_axes)
-        cond = np.sqrt(fro2 * adj_fro2) / np.abs(det)
-        return float(np.max(cond))
+        ``||J^{-1}||_F = ||C||_F / |det|``. Values above ~1e6 signal an
+        ill-conditioned label window."""
+        jac, cof, det = self._jacobian_cofactors()
+        fro2 = np.sum(jac**2, axis=(0, 1))
+        cof_fro2 = sum(c**2 for row in cof for c in row)
+        return float(np.max(np.sqrt(fro2 * cof_fro2) / np.abs(det)))
 
     def composition_residual(self) -> float:
         """``max |X(A(x)) - x|`` over grid and realizations."""
@@ -377,47 +372,6 @@ class FlowEnsemble:
             res = grid.wrap_centered(pts + xi_interp.at(pts) - coords)
             worst = max(worst, float(np.max(np.abs(res))))
         return worst
-
-
-def _adjugate_frobenius_sq(g: np.ndarray, d: int, mat_axes: tuple) -> np.ndarray:
-    """``||adj J||_F^2`` for matrix fields (axes ``mat_axes`` index i, j)."""
-    if d == 1:
-        return np.ones(np.sum(g, axis=mat_axes).shape)
-    if d == 2:
-        # the 2x2 adjugate is a rotation of J itself
-        return np.sum(g**2, axis=mat_axes)
-    idx = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-
-    def entry(i: int, j: int) -> np.ndarray:
-        return np.take(np.take(g, i, axis=mat_axes[0]), j, axis=mat_axes[0])
-
-    total = 0.0
-    for _, i1, i2 in idx:
-        for _, j1, j2 in idx:
-            cof = entry(i1, j1) * entry(i2, j2) - entry(i1, j2) * entry(i2, j1)
-            total = total + cof**2
-    return total
-
-
-def _det_from_grad(g: np.ndarray, d: int) -> np.ndarray:
-    """Determinant of matrix fields ``g`` with axes ``(..., i, j, spatial)``."""
-    if d == 1:
-        return g[..., 0, 0, :]
-    if d == 2:
-        return (
-            g[..., 0, 0, :, :] * g[..., 1, 1, :, :]
-            - g[..., 0, 1, :, :] * g[..., 1, 0, :, :]
-        )
-    a = g[..., 0, 0, :, :, :]
-    b = g[..., 0, 1, :, :, :]
-    c = g[..., 0, 2, :, :, :]
-    e = g[..., 1, 0, :, :, :]
-    f = g[..., 1, 1, :, :, :]
-    h = g[..., 1, 2, :, :, :]
-    p = g[..., 2, 0, :, :, :]
-    q = g[..., 2, 1, :, :, :]
-    r = g[..., 2, 2, :, :, :]
-    return a * (f * r - h * q) - b * (e * r - h * p) + c * (e * q - f * p)
 
 
 def translate_batch(

@@ -315,15 +315,20 @@ def cole_hopf_burgers(
     ``theta = exp(-psi / (2 nu))`` turns Burgers into the heat equation;
     ``theta`` is evolved exactly mode by mode and the series is evaluated
     at ``x_points`` with the mode count chosen so the truncation error
-    sits below rounding. Rounding where ``theta`` is small sets the floor:
-    for the unit sine mode (n = 256) the max error is ~1e-10 at nu = 0.1,
-    8e-7 at nu = 0.05 and 0.3 at nu = 0.03.
+    sits below rounding. Rounding where ``theta`` is small sets the floor,
+    about ``eps exp(r)`` with ``r = (max psi0 - min psi0) / (2 nu)``: for the
+    unit sine mode (n = 256) the max error is ~1e-10 at nu = 0.1, 8e-7 at
+    nu = 0.05 and 0.3 at nu = 0.03. Raises ``ValueError`` when that floor
+    exceeds 1e-6 (for the unit sine mode, below nu ~ 0.045).
     """
     if nu <= 0:
         raise ValueError("Cole-Hopf needs nu > 0")
     psi0_samples = np.asarray(psi0_samples, dtype=np.float64)
     if psi0_samples.ndim != 1:
         raise ValueError("psi0_samples must be one-dimensional")
+    r = np.ptp(psi0_samples) / (2.0 * nu)
+    if r > np.log(1e-6 / np.finfo(np.float64).eps):
+        raise ValueError(f"Cole-Hopf rounding error eps*exp({r:.3g}) exceeds 1e-6 at nu={nu:g}")
     x_points = np.atleast_1d(np.asarray(x_points, dtype=np.float64))
 
     # Upsample the potential spectrally, then exponentiate on a grid fine

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CFLViolation, ConfigError, NonFiniteVelocity
-from .flowmap import FlowEnsemble
+from .flowmap import DEFAULT_MAX_NEWTON, DEFAULT_TOL_FACTOR, FlowEnsemble
 from .grid import Field, PeriodicGrid
 from .recovery import (
     burgers_velocity,
@@ -102,8 +102,8 @@ class SolverConfig:
     backend: str = "direct_sde"
     interpolation: str = "cubic"
     cfl_max: float = 0.5
-    inversion_tol_factor: float = 1e-8
-    newton_max_iter: int = 25
+    inversion_tol_factor: float = DEFAULT_TOL_FACTOR
+    newton_max_iter: int = DEFAULT_MAX_NEWTON
     workers: int = 1
     substeps: int = 1
     initial: str = "taylor_green_2d"
@@ -633,7 +633,10 @@ def oracle_solution(config: SolverConfig, t: float, spectral: bool = False) -> F
         k = 2.0 * np.pi * mode / config.length
         x = grid.axis()
         psi0 = -(amp / k) * np.cos(k * x)
-        vals = cole_hopf_burgers(psi0, config.length, config.nu, t, x)
+        try:
+            vals = cole_hopf_burgers(psi0, config.length, config.nu, t, x)
+        except ValueError as exc:
+            raise ConfigError(f"cole_hopf oracle: {exc}") from None
         return Field(grid, vals[np.newaxis])
     if (
         incompressible

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -202,16 +203,28 @@ realizations = 2
         assert main(["run", str(p)]) == 1
         assert "forcing" in capsys.readouterr().err
 
-    def test_workers_flag_invariant(self, tmp_path, monkeypatch):
+    def test_workers_flag_invariant(self, tmp_path):
         p = write_cfg(tmp_path, TG_CFG)
-        main(["run", str(p), "--workers", "1", "--output-dir", str(tmp_path / "w1"),
+        main(["run", str(p), "--output-dir", str(tmp_path / "w1"),
               "--set", "run.reset_interval=50"])
-        monkeypatch.setenv("SLNS_WORKERS", "4")
         main(["run", str(p), "--output-dir", str(tmp_path / "w4"),
-              "--set", "run.reset_interval=50"])
+              "--set", "run.reset_interval=50", "--set", "run.workers=4"])
         assert (tmp_path / "w1" / "diag.csv").read_bytes() == (
             tmp_path / "w4" / "diag.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["run", "{cfg}", "--bogus"], ["run", "{cfg}", "--workers", "4"],
+         ["convergence", "{cfg}", "--axis", "foo"]],
+        ids=["unknown-flag", "removed-workers-flag", "bad-choice"],
+    )
+    def test_usage_error_exit_1(self, tmp_path, capsys, args):
+        # exit 2 is the CFL violation's, not argparse's
+        p = write_cfg(tmp_path, BURGERS_CFG)
+        assert main([a.format(cfg=p) for a in args]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_cfl_violation_exit_2(self, tmp_path, capsys):
         p = write_cfg(tmp_path, BURGERS_CFG)
@@ -261,8 +274,8 @@ realizations = 2
         assert main(["compare", str(tmp_path / "out"), "--oracle", "cole_hopf"]) == 0
         # tighten the gate beyond reach and expect a failure exit
         eff = tmp_path / "out" / "effective.cfg"
-        text = eff.read_text().replace("rel_l2_max = 0.2", "rel_l2_max = 1e-12")
-        eff.write_text(text)
+        eff.write_text(re.sub(r"rel_l2_max = .*", "rel_l2_max = 1e-12", eff.read_text()))
+        assert compare_gates(eff)["rel_l2_max"] == 1e-12
         assert main(["compare", str(tmp_path / "out"), "--oracle", "cole_hopf"]) == 1
 
     @pytest.mark.parametrize(
@@ -271,6 +284,8 @@ realizations = 2
             ("compare.linf_max=1e-30", 0, 1),  # an override gates like a file value
             ("compare.rel_l2_mx=0.1", 1, None),
             ("compare.rel_l2_max=abc", 1, None),
+            ("compare.rel_l2_max=nan", 1, None),  # `worst > nan` could never fail
+            ("compare.linf_max=inf", 1, None),
         ],
     )
     def test_compare_section_validated(self, tmp_path, capsys, override, run_code, compare_code):
@@ -280,6 +295,15 @@ realizations = 2
             assert "error:" in capsys.readouterr().err
         else:
             assert main(["compare", str(tmp_path / "out")]) == compare_code
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_compare_rejects_non_finite_gate(self, tmp_path, capsys, value):
+        p = write_cfg(tmp_path, BURGERS_CFG)
+        assert main(["run", str(p)]) == 0
+        eff = tmp_path / "out" / "effective.cfg"
+        eff.write_text(re.sub(r"rel_l2_max = .*", f"rel_l2_max = {value}", eff.read_text()))
+        assert main(["compare", str(tmp_path / "out")]) == 1
+        assert "must be finite" in capsys.readouterr().err
 
     def test_compare_run_against_its_own_field(self, tmp_path):
         # comparing the t=0 snapshot against the analytic initial state
@@ -331,6 +355,19 @@ class TestCompareOracles:
         assert main(["run", str(p), "--set", "run.nu=0"]) == 0
         assert main(["compare", str(tmp_path / "out"), "--oracle", "cole_hopf"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nu, code", [("0.05", 0), ("0.04", 1)])
+    def test_cole_hopf_rounding_limit(self, tmp_path, capsys, nu, code):
+        # below nu ~ 0.045 the unit sine's Cole-Hopf field loses its digits
+        p = write_cfg(tmp_path, BURGERS_CFG)
+        assert main(["run", str(p), "--set", f"run.nu={nu}", "--set", "run.t_end=0.01",
+                     "--set", "compare.rel_l2_max=1"]) == 0
+        assert main(["compare", str(tmp_path / "out")]) == code
+        assert main(["convergence", str(p), "--axis", "dt", "--levels", "3",
+                     "--reference", "oracle", "--set", f"run.nu={nu}",
+                     "--set", "run.t_end=0.008", "--set", "run.dt=0.004"]) == code
+        if code:
+            assert capsys.readouterr().err.count("error: cole_hopf oracle") == 2
 
     def test_spectral_ns_oracle(self, tmp_path):
         p = write_cfg(tmp_path, TG_CFG)

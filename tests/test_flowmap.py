@@ -3,7 +3,7 @@ import pytest
 
 from conftest import fit_order
 from slns.errors import NonInvertible
-from slns.flowmap import FlowEnsemble, invert_core, spde_residual
+from slns.flowmap import FlowEnsemble, _newton_step, invert_core, spde_residual
 from slns.grid import PeriodicGrid
 from slns.interp import FieldInterpolator
 from slns.reference import taylor_green_2d
@@ -186,6 +186,40 @@ class TestJacobian:
         fe = FlowEnsemble(grid2d, 1).advanced(tg_drift(grid2d), 1e-3, None)
         cond = fe.max_condition_estimate()
         assert 1.9 <= cond <= 2.2  # Frobenius cond of near-identity 2x2 is ~2
+
+
+class TestCofactorTable:
+    """Determinant, Newton step and condition estimate from the cofactor
+    table against ``np.linalg`` on random near-identity matrix fields."""
+
+    @staticmethod
+    def near_identity(rng, lead, d):
+        eye = np.eye(d).reshape((d, d) + (1,) * len(lead))
+        return eye + 0.3 * rng.standard_normal((d, d) + lead)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_newton_step_matches_solve(self, d):
+        rng = np.random.default_rng(d)
+        jac = self.near_identity(rng, (500,), d)
+        rhs = rng.standard_normal((d, 500))
+        ref = np.linalg.solve(np.moveaxis(jac, -1, 0), rhs.T[..., None])[..., 0].T
+        assert np.max(np.abs(_newton_step(jac, rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_det_and_condition_match_linalg(self, d, monkeypatch):
+        rng = np.random.default_rng(10 + d)
+        grid = PeriodicGrid(d, 8, L)
+        fe = FlowEnsemble(grid, 3)
+        # general layout (M, d, d) + shape, as grad_x_core returns it
+        g = np.moveaxis(self.near_identity(rng, (3,) + grid.shape, d), 2, 0)
+        monkeypatch.setattr(fe, "grad_x_core", lambda: g)
+        mats = np.moveaxis(g, (1, 2), (-2, -1))
+        det_ref = np.linalg.det(mats)
+        assert np.max(np.abs(fe.det_jacobian() / det_ref - 1.0)) <= 1e-12
+        assert fe.max_det_deviation() == pytest.approx(np.max(np.abs(det_ref - 1.0)), rel=1e-12)
+        fro = np.linalg.norm(mats, axis=(-2, -1))
+        cond_ref = np.max(fro * np.linalg.norm(np.linalg.inv(mats), axis=(-2, -1)))
+        assert fe.max_condition_estimate() == pytest.approx(cond_ref, rel=1e-12)
 
 
 class TestTranslatedBackend:

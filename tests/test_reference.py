@@ -135,6 +135,17 @@ class TestColeHopf:
         with pytest.raises(ValueError):
             cole_hopf_burgers(self.psi0, L, 0.0, 0.1, self.x)
 
+    def test_small_viscosity_within_rounding_limit(self):
+        # eps * exp(1 / nu) = 1.1e-7 at nu = 0.05: still accurate
+        u = cole_hopf_burgers(self.psi0, L, 0.05, 0.0, self.x)
+        assert np.max(np.abs(u - np.sin(self.x))) <= 1e-5
+
+    @pytest.mark.parametrize("nu", [0.04, 0.03, 0.02])
+    def test_small_viscosity_beyond_rounding_limit_raises(self, nu):
+        # at nu = 0.04 the t = 0 error was 7.5e-5, at 0.03 it was 0.31
+        with pytest.raises(ValueError, match="rounding"):
+            cole_hopf_burgers(self.psi0, L, nu, 0.0, self.x)
+
     def test_agrees_with_finite_difference_solver(self):
         # oracle independence: two unrelated discretizations must agree
         # before either is used as a gate

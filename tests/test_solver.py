@@ -505,6 +505,14 @@ class TestOtherConfigurations:
         res = run(cfg)
         assert np.all(np.isfinite(res.velocity.values))
 
+    def test_quintic_interpolation_beats_cubic(self):
+        # steady inviscid Taylor-Green drifts 4.3e-8 with quintic and 1.2e-6
+        # with cubic: a silent fallback to cubic fails the bound
+        cfg = tg_config(equation="euler", nu=0.0, n=32, realizations=1, dt=1e-2, t_end=0.1,
+                        interpolation="quintic")
+        res = run(cfg)
+        assert (res.velocity - taylor_green_2d(cfg.grid())).max_norm() <= 1e-7
+
     def test_linear_interpolation_runs(self):
         cfg = tg_config(t_end=0.02, interpolation="linear", realizations=16)
         res = run(cfg)
