@@ -20,7 +20,8 @@ class CFLViolation(SLNSError):
 
 
 class NonInvertible(SLNSError):
-    """Newton inversion of a flow map failed to converge.
+    """A flow map folds (``det(I + grad xi) <= 0`` at a grid node) or its
+    inversion (fixed-point iteration, Newton fallback) did not converge.
 
     Usually means the step is too large or the grid too coarse for the
     displacement being inverted.

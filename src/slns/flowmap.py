@@ -13,7 +13,8 @@ the periodic core ``I + xi_m`` and translating:
 
     A_m(x) = B_m(x - s_m),        B_m = (I + xi_m)^{-1}
 
-so Newton iteration only ever sees the periodic core. Immediately after a
+so inversion (a fold check, then fixed-point iteration with a damped
+Newton fallback) only ever sees the periodic core. Immediately after a
 label reset all realizations share one core (``xi_m`` identical for all
 ``m``); the ensemble stays in that cheap shared representation until a
 subsequent drift evaluation makes the cores diverge.
@@ -78,8 +79,11 @@ def _newton_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Newton inversion of a periodic core map
+# inversion of a periodic core map
 # ---------------------------------------------------------------------------
+
+# a fixed-point update must shrink each active residual to this fraction
+_FIXED_POINT_RATIO = 0.5
 
 
 def invert_core(
@@ -92,17 +96,30 @@ def invert_core(
     """Invert ``Y = I + xi`` on the grid: returns the displacement ``beta``
     with ``Y(y + beta(y)) = y`` (mod L) at every node.
 
-    Damped Newton from the translation guess ``beta ~ -xi``; raises
-    :exc:`NonInvertible` if any node fails to reach ``tol`` within
-    ``max_iter`` iterations.
+    From the guess ``beta ~ -xi`` the fixed-point update ``a <- a - r``,
+    ``r = wrap(a + xi(a) - x)``, needs only ``xi`` and contracts by about
+    ``|grad xi|``. Once an update fails to halve some active residual it is
+    undone there and damped Newton (on a spline of ``grad xi``, built only
+    then) runs the rest; ``max_iter`` caps both methods' updates together.
+    If every update halved its residuals, the points they moved take one
+    more, unverified update from their last (converged) residual.
+
+    Raises :exc:`NonInvertible` if ``det(I + grad xi) <= 0`` at a node (the
+    map folds and has no inverse) or a node misses ``tol`` after
+    ``max_iter`` updates.
     """
     d = grid.dim
     if tol is None:
         tol = DEFAULT_TOL_FACTOR * grid.length
-    ws = workspace(grid)
+    grad_xi = gradient_values(xi, workspace(grid))
+    det_min = float(_cofactors(grad_xi + np.eye(d).reshape((d, d) + (1,) * d))[1].min())
+    if not det_min > 0.0:
+        raise NonInvertible(
+            f"map folds: det(I + grad xi) = {det_min:.3e} <= 0 at a grid node "
+            "(reduce dt or the reset interval)"
+        )
     xi_interp = FieldInterpolator(grid, xi, order=order)
-    grad_xi = gradient_values(xi, ws).reshape((d * d,) + grid.shape)
-    grad_interp = FieldInterpolator(grid, grad_xi, order=order)
+    grad_interp = None
 
     x = grid.coordinates().reshape(d, -1)
     a = x - xi.reshape(d, -1)
@@ -112,6 +129,7 @@ def invert_core(
 
     r = residual(a, x)
     rnorm = np.max(np.abs(r), axis=0)
+    rnorm0 = rnorm.copy()
     for _ in range(max_iter):
         active = rnorm > tol
         if not active.any():
@@ -119,22 +137,30 @@ def invert_core(
         a_act = a[:, active]
         x_act = x[:, active]
         r_act = r[:, active]
-        jac = grad_interp.at(a_act).reshape(d, d, -1)
-        for i in range(d):
-            jac[i, i] += 1.0
-        delta = _newton_step(jac, r_act)
-        step = 1.0
-        trial = a_act - delta
-        r_trial = residual(trial, x_act)
-        rn_old = np.max(np.abs(r_act), axis=0)
-        for _ in range(3):
-            rn_new = np.max(np.abs(r_trial), axis=0)
-            worse = rn_new > rn_old
-            if not worse.any():
-                break
-            step *= 0.5
-            trial[:, worse] = a_act[:, worse] - step * delta[:, worse]
-            r_trial[:, worse] = residual(trial[:, worse], x_act[:, worse])
+        rn_old = rnorm[active]
+        if grad_interp is None:
+            trial = a_act - r_act
+            r_trial = residual(trial, x_act)
+            stalled = np.max(np.abs(r_trial), axis=0) > _FIXED_POINT_RATIO * rn_old
+            if stalled.any():
+                trial[:, stalled] = a_act[:, stalled]
+                r_trial[:, stalled] = r_act[:, stalled]
+                grad_interp = FieldInterpolator(
+                    grid, grad_xi.reshape((d * d,) + grid.shape), order=order
+                )
+        else:
+            jac = grad_interp.at(a_act).reshape(d, d, -1) + np.eye(d)[:, :, None]
+            delta = _newton_step(jac, r_act)
+            step = 1.0
+            trial = a_act - delta
+            r_trial = residual(trial, x_act)
+            for _ in range(3):
+                worse = np.max(np.abs(r_trial), axis=0) > rn_old
+                if not worse.any():
+                    break
+                step *= 0.5
+                trial[:, worse] = a_act[:, worse] - step * delta[:, worse]
+                r_trial[:, worse] = residual(trial[:, worse], x_act[:, worse])
         a[:, active] = trial
         r[:, active] = r_trial
         rnorm[active] = np.max(np.abs(r_trial), axis=0)
@@ -142,10 +168,11 @@ def invert_core(
         worst = float(rnorm.max())
         raise NonInvertible(
             f"map inversion stalled: residual {worst:.3e} > tol {tol:.3e} "
-            f"after {max_iter} iterations (reduce dt or the reset interval)"
+            f"after {max_iter} updates (reduce dt or the reset interval)"
         )
-    beta = grid.wrap_centered(a - x).reshape((d,) + grid.shape)
-    return beta
+    if grad_interp is None:
+        a -= r * (rnorm < rnorm0)  # the points those updates moved
+    return grid.wrap_centered(a - x).reshape((d,) + grid.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +196,8 @@ class FlowEnsemble:
     last recovery integrand built on this ensemble's inverse map and the
     label array it was built from (see ``recovery._integrand``): the core
     ``(c,) + shape`` when map and labels are shared, else ``(M, c) + shape``.
+    ``_label_splines`` maps the flag to a shared label array and its spline:
+    one dict per label window, shared with the ensembles advanced from this.
     """
 
     def __init__(
@@ -195,6 +224,7 @@ class FlowEnsemble:
         self.time_in_window = 0.0
         self.chi: np.ndarray | None = None
         self._integrands: dict = {}
+        self._label_splines: dict = {}
 
     # -- representation helpers ------------------------------------------
 
@@ -216,6 +246,7 @@ class FlowEnsemble:
         self.time_in_window = 0.0
         self.chi = None
         self._integrands = {}
+        self._label_splines = {}
 
     @property
     def mode(self) -> str:
@@ -281,8 +312,9 @@ class FlowEnsemble:
     # -- inversion ----------------------------------------------------------
 
     def invert(self) -> None:
-        """Compute back-to-labels displacements by damped Newton on the
-        periodic core of each realization (the one core when shared)."""
+        """Compute back-to-labels displacements by :func:`invert_core` on
+        the periodic core of each realization (the one core when shared).
+        Raises :exc:`NonInvertible` if a core folds or its inversion stalls."""
         self._integrands = {}
         d = self.grid.dim
         cores = self.xi.reshape((-1, d) + self.grid.shape)

@@ -53,8 +53,9 @@ def _integrand(flow: FlowEnsemble, label_values: np.ndarray, weber: bool) -> np.
     ``(M, c) + shape`` (accumulated forcing).
 
     The result is kept on ``flow`` (cleared by ``invert``/``reset``) and
-    returned again for the same label array, so ``label_values`` must not
-    be modified in place afterwards, and callers must not modify the result.
+    returned again for the same label array, whose spline is kept for the
+    label window, so ``label_values`` must not be modified in place within
+    the window, and callers must not modify the result.
     """
     cached = flow._integrands.get(weber)
     if cached is not None and cached[0] is label_values:
@@ -70,8 +71,12 @@ def _integrand(flow: FlowEnsemble, label_values: np.ndarray, weber: bool) -> np.
     pts = disp.reshape(lead + (d, -1)) + grid.coordinates().reshape(d, -1)
     if shared_labels:
         # one interpolator over the points of every realization
+        spline = flow._label_splines.get(weber)
+        if spline is None or spline[0] is not label_values:
+            spline = (label_values, FieldInterpolator(grid, label_values, order=flow.order))
+            flow._label_splines[weber] = spline
         flat = np.moveaxis(pts, -2, 0).reshape(d, -1)
-        vals = FieldInterpolator(grid, label_values, order=flow.order).at(flat)
+        vals = spline[1].at(flat)
         vals = np.moveaxis(vals.reshape((c,) + lead + (-1,)), 0, -2)
     else:
         vals = interpolate_batch(

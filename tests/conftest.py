@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from slns.grid import PeriodicGrid
+from slns.interp import FieldInterpolator
 
 
 @pytest.fixture
@@ -17,6 +18,20 @@ def grid1d():
 @pytest.fixture
 def grid3d():
     return PeriodicGrid(3, 32, 2.0 * np.pi)
+
+
+def spline_builds(monkeypatch):
+    """The value arrays of the ``FieldInterpolator``s built from now on,
+    in order (spline builds repeat exactly, so tests may count them)."""
+    built = []
+    original = FieldInterpolator.__init__
+
+    def counted(self, grid, values, order=3):
+        built.append(values)
+        original(self, grid, values, order)
+
+    monkeypatch.setattr(FieldInterpolator, "__init__", counted)
+    return built
 
 
 def fit_order(values, errors):

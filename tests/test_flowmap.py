@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import fit_order
+from conftest import fit_order, spline_builds
+from slns import flowmap
 from slns.errors import NonInvertible
 from slns.flowmap import FlowEnsemble, _newton_step, invert_core, spde_residual
 from slns.grid import PeriodicGrid
 from slns.interp import FieldInterpolator
 from slns.reference import taylor_green_2d
+from slns.solver import SolverConfig, StochasticSolver
 from slns.wiener import WienerEnsemble
 
 L = 2 * np.pi
@@ -99,6 +101,105 @@ class TestInvertCore:
         xi = (-1.4 * (L / (2 * np.pi)) * np.sin(2 * np.pi * x / L))[None]
         with pytest.raises(NonInvertible):
             invert_core(grid, xi, max_iter=8)
+
+    @pytest.mark.parametrize(
+        "dim, amp",
+        # det(I + grad xi) = 1 - amp cos x (1D) and (1 - amp cos x)(1 - amp cos y)
+        # (2D) turn negative; the fixed-point and Newton updates alone can
+        # return a "converged" inverse of these maps with no error
+        [(1, 1.1), (1, 1.4), (2, 1.2)],
+    )
+    def test_folded_map_raises(self, dim, amp):
+        grid = PeriodicGrid(dim, 64 if dim == 1 else 32, L)
+        xi = -amp * np.sin(grid.coordinates())
+        with pytest.raises(NonInvertible, match="map folds"):
+            invert_core(grid, xi)
+        fe = FlowEnsemble(grid, 2)
+        fe.xi = xi
+        fe.steps_in_window = 1
+        with pytest.raises(NonInvertible, match="map folds"):
+            fe.invert()
+
+
+def bisect_root(f, target, lo, hi, iters=60):
+    """The root of an increasing scalar ``f(a) = target`` in ``[lo, hi]``."""
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) < target else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def solver_cores(monkeypatch, steps, **cfg):
+    """The periodic cores that ``invert_core`` receives in the last of
+    ``steps`` solver steps, with the solver's grid and tolerance."""
+    seen = []
+    real = flowmap.invert_core
+
+    def spy(grid, xi, *args):
+        seen[-1].append(xi.copy())
+        return real(grid, xi, *args)
+
+    monkeypatch.setattr(flowmap, "invert_core", spy)
+    solver = StochasticSolver(SolverConfig(**cfg))
+    for _ in range(steps):
+        seen.append([])
+        solver.step()
+    monkeypatch.setattr(flowmap, "invert_core", real)
+    return solver.grid, solver.flow.tol, seen[-1]
+
+
+class TestFixedPointAndNewton:
+    """The fixed-point path of ``invert_core`` against its Newton path
+    (forced from the first update by requiring an impossible contraction)."""
+
+    @pytest.mark.parametrize(
+        "steps, cfg, agree",
+        [
+            # a shared core converges in one update, and the final free
+            # update lands next to Newton's quadratically overshooting inverse
+            (2, dict(dim=2, n=64, realizations=16), 0.01),
+            (3, dict(dim=2, n=32, realizations=4, reset_interval=4), 2),
+            (
+                3,
+                dict(dim=3, n=16, realizations=2, reset_interval=4, dt=2e-2,
+                     initial="abc_flow"),
+                2,
+            ),
+        ],
+        ids=["tg2d-shared", "tg2d-window-step3", "abc3d-window-step3"],
+    )
+    def test_solver_cores_agree(self, monkeypatch, steps, cfg, agree):
+        grid, tol, cores = solver_cores(monkeypatch, steps, equation="navier_stokes",
+                                        seed=3, t_end=1.0, **cfg)
+        assert cores and any(np.abs(xi).max() > 1e-3 for xi in cores)
+        x = grid.coordinates().reshape(grid.dim, -1)
+        fixed = [invert_core(grid, xi, tol=tol) for xi in cores]
+        for xi, beta in zip(cores, fixed):  # the final update is not verified inside
+            pts = x + beta.reshape(x.shape)
+            res = grid.wrap_centered(pts + FieldInterpolator(grid, xi).at(pts) - x)
+            assert np.max(np.abs(res)) <= tol
+        monkeypatch.setattr(flowmap, "_FIXED_POINT_RATIO", 0.0)
+        built = spline_builds(monkeypatch)
+        newton = [invert_core(grid, xi, tol=tol) for xi in cores]
+        assert [len(v) for v in built].count(grid.dim**2) == len(cores)
+        for a, b in zip(fixed, newton):
+            assert np.max(np.abs(a - b)) <= agree * tol
+
+    def test_fallback_when_contraction_is_weak(self, monkeypatch):
+        # |d xi / dx| reaches 0.8: a fixed-point update cuts the residual
+        # near x = 0 by 0.8 only, so Newton has to finish the inversion
+        grid = PeriodicGrid(1, 512, L)  # spline error of the map below 1e-10
+        x = grid.axis()
+        xi = (-0.8 * np.sin(x))[None]
+        tol = 1e-12 * L
+        built = spline_builds(monkeypatch)
+        beta = invert_core(grid, xi, tol=tol)
+        assert [len(v) for v in built] == [1, 1]  # xi, then grad xi for Newton
+        monkeypatch.setattr(flowmap, "_FIXED_POINT_RATIO", 0.0)
+        assert np.max(np.abs(beta - invert_core(grid, xi, tol=tol))) <= 2 * tol
+        for i in range(0, 512, 29):
+            a = bisect_root(lambda a: a - 0.8 * np.sin(a), x[i], x[i] - 1.0, x[i] + 1.0)
+            assert abs((x[i] + beta[0, i]) - a) <= 1e-10
 
 
 class TestAdvance:

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fit_order
+from conftest import fit_order, spline_builds
 import slns.flowmap
 import slns.solver
 from slns.config import compare_gates
@@ -217,6 +217,22 @@ class TestPicardPasses:
         cfg = tg_config(n=32, realizations=8, picard_iters=5)
         StochasticSolver(cfg).step()
         assert len(passes) == 5
+
+
+class TestWorkPerStep:
+    """Spline builds are deterministic, so their counts are exact."""
+
+    @pytest.mark.parametrize("reset_interval", [1, 4])
+    def test_no_gradient_spline_and_labels_prefiltered_once(self, monkeypatch, reset_interval):
+        # one label window: one shared step, or four steps of a window
+        solver = StochasticSolver(tg_config(n=32, realizations=8, reset_interval=reset_interval))
+        labels = (solver.labels_u, solver.labels_omega)
+        built = spline_builds(monkeypatch)
+        for _ in range(reset_interval):
+            solver.step()
+        # a d^2-component spline is the Newton fallback's grad xi
+        assert [len(v) for v in built].count(4) == 0
+        assert [sum(v is label for v in built) for label in labels] == [1, 1]
 
 
 class TestBurgersSolver:
