@@ -3,7 +3,8 @@
 Velocity fields are evolved by averaging noisy characteristics: particle
 maps follow ``dX = u dt + sqrt(2 nu) dW`` with spatially uniform noise,
 the back-to-labels maps ``A = X^{-1}`` are found by fixed-point iteration
-(damped Newton as the fallback; a folded map raises), and the velocity
+from a quadratic Taylor start (damped Newton as the fallback; a folded map
+raises), and the velocity
 is recovered with the projected Weber formula
 ``u = E P[(grad^T A)(u0 o A)]`` (plain transport for Burgers, a Helmholtz
 filter pair for the alpha model). Viscosity acts only through the noise

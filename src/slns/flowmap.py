@@ -13,8 +13,9 @@ the periodic core ``I + xi_m`` and translating:
 
     A_m(x) = B_m(x - s_m),        B_m = (I + xi_m)^{-1}
 
-so inversion (a fold check, then fixed-point iteration with a damped
-Newton fallback) only ever sees the periodic core. Immediately after a
+so inversion (a fold check, a start from the quadratic Taylor model of
+``xi`` at each node, then fixed-point iteration with a damped Newton
+fallback) only ever sees the periodic core. Immediately after a
 label reset all realizations share one core (``xi_m`` identical for all
 ``m``); the ensemble stays in that cheap shared representation until a
 subsequent drift evaluation makes the cores diverge.
@@ -96,13 +97,18 @@ def invert_core(
     """Invert ``Y = I + xi`` on the grid: returns the displacement ``beta``
     with ``Y(y + beta(y)) = y`` (mod L) at every node.
 
-    From the guess ``beta ~ -xi`` the fixed-point update ``a <- a - r``,
-    ``r = wrap(a + xi(a) - x)``, needs only ``xi`` and contracts by about
-    ``|grad xi|``. Once an update fails to halve some active residual it is
-    undone there and damped Newton (on a spline of ``grad xi``, built only
-    then) runs the rest; ``max_iter`` caps both methods' updates together.
-    If every update halved its residuals, the points they moved take one
-    more, unverified update from their last (converged) residual.
+    The guess solves the node's quadratic Taylor model of ``xi`` (spectral
+    ``grad xi`` and Hessian ``H``): from ``beta = -xi + grad xi . xi``, two
+    sweeps of ``beta <- -(xi + grad xi . beta + H[beta, beta] / 2)``, so
+    its residual is ``O(|xi|^4)``. Points above ``tol`` then take the
+    fixed-point update ``a <- a - r``, ``r = wrap(a + xi(a) - x)``, which
+    needs only ``xi`` and contracts by about ``|grad xi|``. Once an update
+    fails to halve a residual, or its contraction cannot reach ``tol``
+    within the updates left, it is undone there and damped Newton (on a
+    spline of ``grad xi``, built only then) runs the rest; ``max_iter``
+    caps both methods' updates together. Every point Newton did not update
+    then takes one more, unverified fixed-point update from its last
+    (converged) residual.
 
     Raises :exc:`NonInvertible` if ``det(I + grad xi) <= 0`` at a node (the
     map folds and has no inverse) or a node misses ``tol`` after
@@ -111,7 +117,10 @@ def invert_core(
     d = grid.dim
     if tol is None:
         tol = DEFAULT_TOL_FACTOR * grid.length
-    grad_xi = gradient_values(xi, workspace(grid))
+    ws = workspace(grid)
+    xi_hat = ws.fft(xi)
+    dxi_hat = [1j * k * xi_hat for k in ws.k_deriv]
+    grad_xi = np.stack([ws.ifft(c) for c in dxi_hat], axis=1)  # [i, j] = d_j xi_i
     det_min = float(_cofactors(grad_xi + np.eye(d).reshape((d, d) + (1,) * d))[1].min())
     if not det_min > 0.0:
         raise NonInvertible(
@@ -122,18 +131,32 @@ def invert_core(
     grad_interp = None
 
     x = grid.coordinates().reshape(d, -1)
-    a = x - xi.reshape(d, -1)
+    xi_n = xi.reshape(d, -1)
+    grad_n = grad_xi.reshape(d, d, -1)
+    # Hessian pairs j <= k, off-diagonal ones counted twice in H[b, b]
+    hess = [((2.0 - (j == k)) * ws.ifft(1j * ws.k_deriv[k] * dxi_hat[j]).reshape(d, -1), j, k)
+            for j in range(d) for k in range(j, d)]
+    b = -xi_n + sum(grad_n[:, j] * xi_n[j] for j in range(d))
+    for _ in range(2):
+        quad = sum(h * (b[j] * b[k]) for h, j, k in hess)
+        b = -(xi_n + sum(grad_n[:, j] * b[j] for j in range(d)) + 0.5 * quad)
+    a = x + b
 
     def residual(pts: np.ndarray, targets: np.ndarray) -> np.ndarray:
         return grid.wrap_centered(pts + xi_interp.at(pts) - targets)
 
     r = residual(a, x)
     rnorm = np.max(np.abs(r), axis=0)
-    rnorm0 = rnorm.copy()
-    for _ in range(max_iter):
+    taken = np.zeros(rnorm.shape, dtype=bool)  # points damped Newton updated
+    for it in range(max_iter + 1):
         active = rnorm > tol
         if not active.any():
             break
+        if it == max_iter:
+            raise NonInvertible(
+                f"map inversion stalled: residual {rnorm.max():.3e} > tol {tol:.3e} "
+                f"after {max_iter} updates (reduce dt or the reset interval)"
+            )
         a_act = a[:, active]
         x_act = x[:, active]
         r_act = r[:, active]
@@ -141,7 +164,9 @@ def invert_core(
         if grad_interp is None:
             trial = a_act - r_act
             r_trial = residual(trial, x_act)
-            stalled = np.max(np.abs(r_trial), axis=0) > _FIXED_POINT_RATIO * rn_old
+            rn_new = np.max(np.abs(r_trial), axis=0)
+            ratio = rn_new / rn_old
+            stalled = (ratio > _FIXED_POINT_RATIO) | (rn_new * ratio ** (max_iter - it - 1) > tol)
             if stalled.any():
                 trial[:, stalled] = a_act[:, stalled]
                 r_trial[:, stalled] = r_act[:, stalled]
@@ -149,6 +174,7 @@ def invert_core(
                     grid, grad_xi.reshape((d * d,) + grid.shape), order=order
                 )
         else:
+            taken |= active
             jac = grad_interp.at(a_act).reshape(d, d, -1) + np.eye(d)[:, :, None]
             delta = _newton_step(jac, r_act)
             step = 1.0
@@ -164,14 +190,7 @@ def invert_core(
         a[:, active] = trial
         r[:, active] = r_trial
         rnorm[active] = np.max(np.abs(r_trial), axis=0)
-    else:
-        worst = float(rnorm.max())
-        raise NonInvertible(
-            f"map inversion stalled: residual {worst:.3e} > tol {tol:.3e} "
-            f"after {max_iter} updates (reduce dt or the reset interval)"
-        )
-    if grad_interp is None:
-        a -= r * (rnorm < rnorm0)  # the points those updates moved
+    a -= r * ~taken
     return grid.wrap_centered(a - x).reshape((d,) + grid.shape)
 
 

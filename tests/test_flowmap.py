@@ -120,6 +120,29 @@ class TestInvertCore:
         with pytest.raises(NonInvertible, match="map folds"):
             fe.invert()
 
+    def test_taylor_start_residual_is_fourth_order(self, monkeypatch):
+        # the start solves the quadratic Taylor model of xi at each node, so
+        # its residual is the cubic remainder, O(|xi|^4); a first-order
+        # guess gives O(|xi|^2), a wrong quadratic term O(|xi|^3)
+        grid = PeriodicGrid(1, 64, L)
+        x = grid.axis()
+        starts = []
+        real_at = FieldInterpolator.at
+
+        def first_points(self, pts):
+            starts.append(pts.copy())
+            return real_at(self, pts)
+
+        monkeypatch.setattr(FieldInterpolator, "at", first_points)
+        epsilons = [1e-2, 2e-2, 4e-2, 8e-2]
+        residuals = []
+        for eps in epsilons:
+            starts.clear()
+            invert_core(grid, (eps * np.sin(x))[None])
+            a = starts[0][0]  # the first evaluation is at the start
+            residuals.append(np.max(np.abs(a + eps * np.sin(a) - x)))
+        assert fit_order(1.0 / np.asarray(epsilons), residuals) == pytest.approx(4.0, abs=0.3)
+
 
 def bisect_root(f, target, lo, hi, iters=60):
     """The root of an increasing scalar ``f(a) = target`` in ``[lo, hi]``."""
@@ -155,8 +178,8 @@ class TestFixedPointAndNewton:
     @pytest.mark.parametrize(
         "steps, cfg, agree",
         [
-            # a shared core converges in one update, and the final free
-            # update lands next to Newton's quadratically overshooting inverse
+            # a shared core converges in one fixed-point update, and the final
+            # free update lands next to Newton's quadratically overshooting inverse
             (2, dict(dim=2, n=64, realizations=16), 0.01),
             (3, dict(dim=2, n=32, realizations=4, reset_interval=4), 2),
             (
@@ -171,6 +194,7 @@ class TestFixedPointAndNewton:
     def test_solver_cores_agree(self, monkeypatch, steps, cfg, agree):
         grid, tol, cores = solver_cores(monkeypatch, steps, equation="navier_stokes",
                                         seed=3, t_end=1.0, **cfg)
+        tol *= 1e-5  # the Taylor start alone meets the solver's tol: make both paths update
         assert cores and any(np.abs(xi).max() > 1e-3 for xi in cores)
         x = grid.coordinates().reshape(grid.dim, -1)
         fixed = [invert_core(grid, xi, tol=tol) for xi in cores]
@@ -184,6 +208,44 @@ class TestFixedPointAndNewton:
         assert [len(v) for v in built].count(grid.dim**2) == len(cores)
         for a, b in zip(fixed, newton):
             assert np.max(np.abs(a - b)) <= agree * tol
+
+    @pytest.mark.parametrize(
+        "steps, cfg",
+        [
+            (1, dict(dim=2, n=64, realizations=16)),
+            (3, dict(dim=2, n=32, realizations=4, reset_interval=4)),
+        ],
+        ids=["tg2d-shared-step1", "tg2d-window-step3"],
+    )
+    def test_solver_cores_near_reference(self, monkeypatch, steps, cfg):
+        # every node takes the final update, including those whose start
+        # already met tol; without it they keep an error of up to tol (the
+        # first core of a window, dt u0, has such nodes even from x - xi)
+        grid, tol, cores = solver_cores(monkeypatch, steps, equation="navier_stokes",
+                                        seed=3, t_end=1.0, **cfg)
+        assert cores and tol == 1e-8 * L
+        for xi in cores:
+            reference = invert_core(grid, xi, tol=1e-13 * L)
+            assert np.max(np.abs(invert_core(grid, xi) - reference)) <= 5e-9
+
+    @pytest.mark.parametrize("amp", [0.4, 0.45, 0.48, 0.5])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_half_contraction_converges_at_default_cap(self, dim, amp):
+        # det >= 1 - amp > 0, but a fixed-point update only about halves the
+        # residual near x = 0: more than the default 25 updates to reach
+        # tol, so Newton must take over while updates are left
+        grid = PeriodicGrid(dim, 512 if dim == 1 else 64, L)  # 1D: spline error < 1e-10
+        tol = 1e-12 * L
+        xi = -amp * np.sin(grid.coordinates())
+        beta = invert_core(grid, xi, tol=tol)
+        x = grid.coordinates().reshape(dim, -1)
+        pts = x + beta.reshape(x.shape)
+        res = grid.wrap_centered(pts + FieldInterpolator(grid, xi).at(pts) - x)
+        assert np.max(np.abs(res)) <= tol
+        if dim == 1:
+            for y, b in zip(x[0, ::29], beta[0, ::29]):
+                a = bisect_root(lambda a: a - amp * np.sin(a), y, y - 1.0, y + 1.0)
+                assert abs((y + b) - a) <= 1e-10
 
     def test_fallback_when_contraction_is_weak(self, monkeypatch):
         # |d xi / dx| reaches 0.8: a fixed-point update cuts the residual

@@ -10,6 +10,7 @@ from slns.config import compare_gates
 from slns.errors import CFLViolation, ConfigError, NonFiniteVelocity, NonInvertible
 from slns.flowmap import FlowEnsemble
 from slns.grid import Field, PeriodicGrid
+from slns.interp import FieldInterpolator
 from slns.reference import (
     cole_hopf_burgers,
     taylor_green_2d,
@@ -233,6 +234,32 @@ class TestWorkPerStep:
         # a d^2-component spline is the Newton fallback's grad xi
         assert [len(v) for v in built].count(4) == 0
         assert [sum(v is label for v in built) for label in labels] == [1, 1]
+
+    def test_one_xi_evaluation_per_node_per_core(self, monkeypatch):
+        # the Taylor start meets tol at every node of a shared core, so the
+        # residual check is the only interpolation inversion does
+        solver = StochasticSolver(tg_config(n=32, realizations=8))
+        per_core = []  # xi points evaluated by each invert_core call
+        inside = []
+        real_invert, real_at = slns.flowmap.invert_core, FieldInterpolator.at
+
+        def invert(grid, xi, *args):
+            per_core.append(0)
+            inside.append(True)
+            try:
+                return real_invert(grid, xi, *args)
+            finally:
+                inside.pop()
+
+        def at(self, pts):
+            if inside:
+                per_core[-1] += int(np.prod(pts.shape[1:]))
+            return real_at(self, pts)
+
+        monkeypatch.setattr(slns.flowmap, "invert_core", invert)
+        monkeypatch.setattr(FieldInterpolator, "at", at)
+        solver.step()
+        assert per_core and per_core == [32 * 32] * len(per_core)
 
 
 class TestBurgersSolver:
