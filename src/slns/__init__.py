@@ -12,7 +12,7 @@ amplitude; no diffusion operator is ever applied.
 """
 
 from .errors import CFLViolation, ConfigError, NonFiniteVelocity, NonInvertible, SLNSError
-from .flowmap import FlowEnsemble, invert_core, spde_residual, spde_residual_flows
+from .flowmap import FlowEnsemble, invert_core, spde_residual
 from .grid import Field, PeriodicGrid, l2_inner
 from .interp import FieldInterpolator, interpolate
 from .recovery import (
@@ -82,7 +82,6 @@ __all__ = [
     "read_snapshot",
     "run",
     "spde_residual",
-    "spde_residual_flows",
     "stochastic_velocity",
     "transported_vorticity_2d",
     "transported_vorticity_3d",

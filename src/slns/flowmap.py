@@ -239,7 +239,6 @@ class FlowEnsemble:
         self.shifts = np.zeros((realizations, d))
         self.beta: np.ndarray | None = np.zeros((d,) + grid.shape)
         self.steps_in_window = 0
-        self.window_id = 0
         self.time_in_window = 0.0
         self.chi: np.ndarray | None = None
         self._integrands: dict = {}
@@ -261,7 +260,6 @@ class FlowEnsemble:
         self.shifts = np.zeros((self.m, d))
         self.beta = np.zeros((d,) + self.grid.shape)
         self.steps_in_window = 0
-        self.window_id += 1
         self.time_in_window = 0.0
         self.chi = None
         self._integrands = {}
@@ -453,34 +451,6 @@ def translate_batch(
 # ---------------------------------------------------------------------------
 # SPDE residual diagnostic
 # ---------------------------------------------------------------------------
-
-
-def spde_residual_flows(
-    flow_prev: FlowEnsemble,
-    flow_next: FlowEnsemble,
-    u_values: np.ndarray,
-    noise: np.ndarray,
-    nu: float,
-    dt: float,
-) -> np.ndarray:
-    """Residual between two consecutive inverted states of one window.
-
-    Raises when the pair spans a label reset, since back-to-labels maps of
-    different windows do not satisfy one evolution equation.
-    """
-    if flow_prev.window_id != flow_next.window_id:
-        raise ValueError("residual window crosses a label reset")
-    if flow_next.steps_in_window != flow_prev.steps_in_window + 1:
-        raise ValueError("flows are not consecutive steps of one window")
-    return spde_residual(
-        flow_prev.grid,
-        flow_prev.alpha_general(),
-        flow_next.alpha_general(),
-        u_values,
-        noise,
-        nu,
-        dt,
-    )
 
 
 def spde_residual(

@@ -25,12 +25,7 @@ import numpy as np
 from .flowmap import FlowEnsemble, translate_batch
 from .grid import Field, PeriodicGrid
 from .interp import FieldInterpolator, interpolate_batch
-from .spectral import (
-    gradient_values,
-    helmholtz_values,
-    project_values,
-    workspace,
-)
+from .spectral import gradient_values, project_values, workspace
 
 
 # ---------------------------------------------------------------------------
@@ -193,21 +188,6 @@ def transported_vorticity_3d(flow: FlowEnsemble, omega0) -> np.ndarray:
     prefix = "m" if flow.mode == "general" else ""
     stretched = np.einsum(f"{prefix}ij...,j...->{prefix}i...", gx, label)
     return _recover(flow, stretched, weber=False, project=False)
-
-
-def filtered_velocity_pair(
-    flow: FlowEnsemble, v0, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Alpha-model recovery: momentum ``v`` by the Weber formula, transport
-    velocity ``u`` by the inverse Helmholtz filter ``(1 - a^2 Lap)^{-1}``.
-    ``alpha = 0`` returns ``u`` as the same array as ``v``."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    v = weber_velocity(flow, v0)
-    if alpha == 0.0:
-        return v, v
-    u = helmholtz_values(v, alpha, workspace(flow.grid))
-    return v, u
 
 
 # ---------------------------------------------------------------------------

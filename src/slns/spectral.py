@@ -151,47 +151,66 @@ def curl_values(values: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
     return np.stack([c0, c1, c2], axis=-d - 1)
 
 
-def _phase_ladder(shift_axis: np.ndarray, n: int, scale: float, half: bool) -> np.ndarray:
-    """``exp(-i k c)`` for all harmonics ``k`` of one axis, shape ``(nk, M)``.
+def _phase_ladder(shift_axis: np.ndarray, count: int, scale: float) -> np.ndarray:
+    """``exp(-i k scale c)`` for harmonics ``k = 0 .. count - 1``, shape
+    ``(count, M)``.
 
-    Built from one exponential per realization (the wavenumbers are integer
-    multiples of ``scale``) by doubling: rows ``0 .. L-1`` times harmonic
-    ``L`` give rows ``L .. 2L-1``. That is ``log2(n/2)`` contiguous
-    vectorized products, and the rounding error grows with the number of
-    doublings rather than with the harmonic.
+    Built from one phase per realization by doubling: rows ``0 .. L-1``
+    times harmonic ``L`` give rows ``L .. 2L-1``. That is
+    ``log2(count)`` contiguous vectorized products, and the rounding error
+    grows with the number of doublings rather than with the harmonic.
     """
-    m = shift_axis.shape[0]
-    n2 = n // 2
-    powers = np.empty((n2 + 1, m), dtype=complex)
+    powers = np.empty((count, shift_axis.shape[0]), dtype=complex)
     powers[0] = 1.0
-    powers[1] = np.exp(-1j * scale * shift_axis)
+    phase = scale * shift_axis
+    powers[1].real = np.cos(phase)  # exp(-i phase); a complex exp costs about twice as much
+    powers[1].imag = -np.sin(phase)
     filled = 2
-    while filled <= n2:
-        h = min(filled, n2 + 1 - filled)
+    while filled < count:
+        h = min(filled, count - filled)
         np.multiply(powers[:h], powers[filled - 1] * powers[1], out=powers[filled : filled + h])
         filled += h
-    if half:
-        return powers  # rfft axis: harmonics 0 .. n/2
-    neg = np.conj(powers[np.arange(n2, 0, -1)])  # -n/2 .. -1
-    return np.concatenate([powers[:n2], neg], axis=0)
+    return powers
+
+
+def _full_axis_phases(shift_axis: np.ndarray, n: int, scale: float) -> np.ndarray:
+    """Phase ladder over a full FFT axis, harmonics ``0 .. n/2 - 1`` then
+    ``-n/2 .. -1`` (the negative ones as conjugates), shape ``(n, M)``."""
+    powers = _phase_ladder(shift_axis, n // 2 + 1, scale)
+    return np.concatenate([powers[:-1], np.conj(powers[:0:-1])], axis=0)
 
 
 def shift_mean_multiplier(shifts: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
     """Empirical characteristic function ``mean_m exp(-i k . c_m)`` on the
     spectral grid; multiplying a field's coefficients by it averages the
-    field's translates over the ensemble of uniform shifts ``c_m``."""
+    field's translates over the ensemble of uniform shifts ``c_m``.
+
+    Every dimension contracts over the realizations with one matrix
+    product ``rows @ cols.T / M``. In 1D each harmonic splits as
+    ``k = b q + r`` with ``b`` a power of two near ``sqrt(n/2)``: ``rows``
+    is the coarse ladder of stride ``b`` and ``cols`` the fine ladder
+    ``r = 0 .. b-1``, so ``O(sqrt(n))`` ladder rows replace ``n/2 + 1``, and
+    the doubling error grows with ``log2 b + log2 q``. In 2D and 3D ``cols``
+    is the half-spectrum ladder of the last axis and ``rows`` the
+    (Khatri-Rao) product of the full-axis ladders of the others.
+    """
     grid = ws.grid
-    d = grid.dim
+    n, d = grid.n, grid.dim
     scale = _TWO_PI / grid.length
-    axes = [
-        _phase_ladder(shifts[:, j], grid.n, scale, half=(j == d - 1)) for j in range(d)
-    ]
     m = shifts.shape[0]
     if d == 1:
-        return axes[0].mean(axis=1)
-    if d == 2:
-        return axes[0] @ axes[1].T / m
-    return np.einsum("am,bm,cm->abc", axes[0], axes[1], axes[2]) / m
+        n2 = n // 2
+        b = 1 << (n2.bit_length() // 2)
+        rows = _phase_ladder(shifts[:, 0], n2 // b + 1, b * scale)
+        cols = _phase_ladder(shifts[:, 0], b, scale)
+    else:
+        rows = _full_axis_phases(shifts[:, 0], n, scale)
+        for j in range(1, d - 1):
+            axis = _full_axis_phases(shifts[:, j], n, scale)
+            rows = (rows[:, None] * axis[None]).reshape(-1, m)
+        cols = _phase_ladder(shifts[:, -1], n // 2 + 1, scale)
+    chi = rows @ cols.T / m
+    return chi.ravel()[: n // 2 + 1] if d == 1 else chi.reshape(ws.spectral_shape)
 
 
 # ---------------------------------------------------------------------------

@@ -467,26 +467,3 @@ class TestSPDEResidual:
             )
             means.append(res.mean())
         assert fit_order(1.0 / np.asarray(dts), means) >= 0.5
-
-
-class TestSPDEResidualWindows:
-    def test_cross_reset_rejected(self, grid2d):
-        from slns.flowmap import spde_residual_flows
-
-        drift = tg_drift(grid2d)
-        zero_noise = np.zeros((2, 2))
-        f1 = FlowEnsemble(grid2d, 2).advanced(drift, 0.01, zero_noise)
-        f1.invert()
-        f2 = f1.advanced(drift, 0.01, zero_noise)
-        f2.invert()
-        # fine within one window
-        res = spde_residual_flows(f1, f2, drift, zero_noise, 0.0, 0.01)
-        assert res.shape == (2,)
-        # after a reset the pair must be refused
-        f3 = f1.advanced(drift, 0.01, zero_noise)
-        f3.window_id += 1
-        f3.invert()
-        with pytest.raises(ValueError, match="reset"):
-            spde_residual_flows(f1, f3, drift, zero_noise, 0.0, 0.01)
-        with pytest.raises(ValueError, match="consecutive"):
-            spde_residual_flows(f2, f1, drift, zero_noise, 0.0, 0.01)

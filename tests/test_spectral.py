@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import fit_order
+from slns import spectral
 from slns.flowmap import translate_batch
 from slns.grid import Field, PeriodicGrid, l2_inner
 from slns.reference import random_band_limited, taylor_green_2d
@@ -156,19 +157,21 @@ class TestTranslation:
         x = grid1d.axis()
         assert np.max(np.abs(shifted[0] - np.sin(x - 0.4))) <= 1e-12
 
-    def test_mean_translates_matches_loop(self, grid2d):
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 64), (3, 16)])
+    def test_mean_translates_matches_loop(self, dim, n):
         # the characteristic-function multiplier averages the translates
-        f = random_band_limited(grid2d, kmax=6, seed=13, components=2)
-        ws = workspace(grid2d)
+        grid = PeriodicGrid(dim, n, 2 * np.pi)
+        f = random_band_limited(grid, kmax=6, seed=13, components=dim)
+        ws = workspace(grid)
         rng = np.random.default_rng(0)
-        shifts = rng.normal(0.0, 0.3, (17, 2))
+        shifts = rng.normal(0.0, 0.3, (17, dim))
         fast = ws.ifft(ws.fft(f.values) * shift_mean_multiplier(shifts, ws))
         slow = translate_batch(np.broadcast_to(f.values, (17,) + f.values.shape), shifts, ws)
         assert np.max(np.abs(fast - slow.mean(axis=0))) <= 1e-12
 
 
 class TestShiftMeanMultiplier:
-    @pytest.mark.parametrize("dim,n", [(1, 256), (2, 64), (3, 16)])
+    @pytest.mark.parametrize("dim,n", [(1, 8), (1, 256), (1, 512), (2, 64), (3, 8), (3, 16)])
     def test_matches_direct_sum(self, dim, n):
         # shifts spread over several periods reach large phases, and the
         # comparison covers negative and Nyquist harmonics on every axis
@@ -180,3 +183,30 @@ class TestShiftMeanMultiplier:
         chi = shift_mean_multiplier(shifts, ws)
         assert chi.shape == ws.spectral_shape
         assert np.max(np.abs(chi - direct)) <= 1e-12
+
+    @pytest.mark.parametrize("dim,n", [(1, 256), (2, 32), (3, 8)])
+    def test_single_shift_is_its_phase(self, dim, n):
+        # with M = 1 the mean is the one shift's own phase exp(-i k . c)
+        grid = PeriodicGrid(dim, n, 2 * np.pi)
+        ws = workspace(grid)
+        shift = np.random.default_rng(5).normal(0.0, 1.0, (1, dim))
+        phase = sum(ws.k_full[j] * shift[0, j] for j in range(dim))
+        chi = shift_mean_multiplier(shift, ws)
+        assert np.max(np.abs(chi - np.exp(-1j * phase))) <= 1e-13
+
+    def test_1d_ladder_rows_grow_like_sqrt(self, monkeypatch):
+        # one 1D multiplier on n = 256 (K = 129 harmonics) builds coarse and
+        # fine ladders of O(sqrt K) rows, not one row per harmonic
+        rows = []
+        ladder = spectral._phase_ladder
+
+        def counted(*args, **kwargs):
+            out = ladder(*args, **kwargs)
+            rows.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(spectral, "_phase_ladder", counted)
+        ws = workspace(PeriodicGrid(1, 256, 2 * np.pi))
+        shifts = np.random.default_rng(0).normal(0.0, 0.3, (64, 1))
+        shift_mean_multiplier(shifts, ws)
+        assert 0 < sum(rows) <= 2 * int(np.ceil(np.sqrt(129))) + 2

@@ -41,12 +41,28 @@ def test_positional_arguments_it_reads():
 
 def test_install_trace_uninstall(tracer_module):
     solver = StochasticSolver(SolverConfig(dim=2, n=16, realizations=4, seed=1))
+    burgers = StochasticSolver(
+        SolverConfig(
+            equation="burgers",
+            dim=1,
+            n=64,
+            realizations=32,
+            nu=0.1,
+            dt=1e-3,
+            initial="sine_mode",
+            initial_params={"mode": 1, "amplitude": 1.0},
+            seed=1,
+        )
+    )
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
         assert tracer_module.installed_wrappers()
         tracer.begin_step(0)
         solver.step()
+        tracer.end_step(failed=False)
+        tracer.begin_step(1)
+        burgers.step()
         tracer.end_step(failed=False)
     finally:
         tracer.uninstall()
@@ -56,4 +72,6 @@ def test_install_trace_uninstall(tracer_module):
     assert counts["flowmap.invert_interp_points"] >= counts["flowmap.invert_core_calls"] * 16**2
     assert counts["interp.at_points"] > counts["flowmap.invert_interp_points"]
     assert counts["interp.prefilter_calls"] >= 1
+    # a shared step builds one characteristic function for all its Picard passes
+    assert tracer.counts[1]["spectral.chi_calls"] == 1
     assert not tracer.errors
