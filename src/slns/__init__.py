@@ -14,7 +14,7 @@ amplitude; no diffusion operator is ever applied.
 from .errors import CFLViolation, ConfigError, NonFiniteVelocity, NonInvertible, SLNSError
 from .flowmap import FlowEnsemble, invert_core, spde_residual
 from .grid import Field, PeriodicGrid, l2_inner
-from .interp import FieldInterpolator, interpolate
+from .interp import FieldInterpolator
 from .recovery import (
     burgers_velocity,
     circulation,
@@ -24,7 +24,7 @@ from .recovery import (
     transported_vorticity_3d,
     weber_velocity,
 )
-from .snapshots import export_csv, read_snapshot, write_snapshot
+from .snapshots import read_snapshot, write_snapshot
 from .solver import (
     Diagnostics,
     RunResult,
@@ -69,11 +69,9 @@ __all__ = [
     "convergence_study",
     "curl",
     "divergence",
-    "export_csv",
     "forcing_increment",
     "gradient",
     "helmholtz_invert",
-    "interpolate",
     "invert_core",
     "l2_inner",
     "laplacian",

@@ -10,7 +10,6 @@ map inversion, 4 non-finite velocity.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -25,9 +24,11 @@ from .snapshots import read_snapshot
 from .solver import (
     BACKENDS,
     EQUATIONS,
+    _sha256,
     convergence_study,
     oracle_solution,
     run as run_solver,
+    write_csv,
 )
 
 
@@ -149,7 +150,7 @@ def _amend_manifest(out_dir: Path, names: list[str]) -> None:
     for name in names:
         p = out_dir / name
         if p.exists():
-            manifest["artifacts"][name] = hashlib.sha256(p.read_bytes()).hexdigest()
+            manifest["artifacts"][name] = _sha256(p)
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
@@ -185,10 +186,7 @@ def cmd_compare(args) -> int:
         )
 
     out_csv = run_dir / f"compare_{oracle}.csv"
-    with open(out_csv, "w") as fh:
-        fh.write("time,l2,rel_l2,linf\n")
-        for r in rows:
-            fh.write(f"{r['time']:.17g},{r['l2']:.17g},{r['rel_l2']:.17g},{r['linf']:.17g}\n")
+    write_csv(out_csv, ("time", "l2", "rel_l2", "linf"), rows)
 
     print(f"comparison against {oracle} ({len(rows)} snapshots) -> {out_csv}")
     for r in rows:
@@ -231,10 +229,8 @@ def cmd_convergence(args) -> int:
     for i, r in enumerate(rows):
         print(f"{i:>5} {r['value']:>12.6g} {r['error']:>14.6e} {r['order']:>8.3f}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("level,value,error,order\n")
-            for i, r in enumerate(rows):
-                fh.write(f"{i},{r['value']:.17g},{r['error']:.17g},{r['order']:.17g}\n")
+        columns = ("level", "value", "error", "order")
+        write_csv(args.out, columns, ({"level": i, **r} for i, r in enumerate(rows)))
         print(f"table written to {args.out}")
     return 0
 

@@ -239,7 +239,6 @@ class FlowEnsemble:
         self.shifts = np.zeros((realizations, d))
         self.beta: np.ndarray | None = np.zeros((d,) + grid.shape)
         self.steps_in_window = 0
-        self.time_in_window = 0.0
         self.chi: np.ndarray | None = None
         self._integrands: dict = {}
         self._label_splines: dict = {}
@@ -260,7 +259,6 @@ class FlowEnsemble:
         self.shifts = np.zeros((self.m, d))
         self.beta = np.zeros((d,) + self.grid.shape)
         self.steps_in_window = 0
-        self.time_in_window = 0.0
         self.chi = None
         self._integrands = {}
         self._label_splines = {}
@@ -323,7 +321,6 @@ class FlowEnsemble:
 
         new.shifts = self.shifts if noise is None else self.shifts + noise
         new.steps_in_window = self.steps_in_window + 1
-        new.time_in_window = self.time_in_window + dt
         return new
 
     # -- inversion ----------------------------------------------------------
@@ -391,12 +388,6 @@ class FlowEnsemble:
         det = self._jacobian_cofactors()[2]
         return float(np.max(np.abs(det - 1.0)))
 
-    def det_jacobian(self) -> np.ndarray:
-        """Pointwise ``det(grad X)`` per realization, a read-only
-        ``(M,) + shape`` view."""
-        det = self._jacobian_cofactors()[2]
-        return np.broadcast_to(det, (self.m,) + self.grid.shape)
-
     def max_condition_estimate(self) -> float:
         """Frobenius condition number ``||J||_F ||J^{-1}||_F`` of the
         forward-map Jacobian, maximized over the grid (and realizations).
@@ -406,21 +397,6 @@ class FlowEnsemble:
         fro2 = np.sum(jac**2, axis=(0, 1))
         cof_fro2 = sum(c**2 for row in cof for c in row)
         return float(np.max(np.sqrt(fro2 * cof_fro2) / np.abs(det)))
-
-    def composition_residual(self) -> float:
-        """``max |X(A(x)) - x|`` over grid and realizations."""
-        beta = self._require_beta()
-        grid = self.grid
-        d = grid.dim
-        coords = grid.coordinates().reshape(d, -1)
-        cores = zip(self.xi.reshape((-1, d) + grid.shape), beta.reshape((-1,) + coords.shape))
-        worst = 0.0
-        for xi, b in cores:
-            pts = coords + b
-            xi_interp = FieldInterpolator(grid, xi, order=self.order)
-            res = grid.wrap_centered(pts + xi_interp.at(pts) - coords)
-            worst = max(worst, float(np.max(np.abs(res))))
-        return worst
 
 
 def translate_batch(

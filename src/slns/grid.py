@@ -23,8 +23,8 @@ class PeriodicGrid:
 
     ``n`` must be a power of two (and at least 8) so that all spectral
     operators stay FFT-friendly. Coordinates are understood modulo
-    ``length``; use :meth:`wrap` / :meth:`wrap_centered` rather than ad-hoc
-    modulo arithmetic so wrapping stays consistent everywhere.
+    ``length``; use :meth:`wrap_centered` rather than ad-hoc modulo
+    arithmetic so displacements wrap consistently everywhere.
     """
 
     dim: int
@@ -63,10 +63,6 @@ class PeriodicGrid:
         """Node coordinates, shape ``(dim,) + shape``."""
         axes = np.meshgrid(*([self.axis()] * self.dim), indexing="ij")
         return np.stack(axes)
-
-    def wrap(self, x: np.ndarray) -> np.ndarray:
-        """Map coordinates into ``[0, length)``."""
-        return np.mod(x, self.length)
 
     def wrap_centered(self, dx: np.ndarray) -> np.ndarray:
         """Map displacements into ``[-length/2, length/2)``."""
@@ -107,10 +103,6 @@ class Field:
         self.values = values
 
     @classmethod
-    def zeros(cls, grid: PeriodicGrid, components: int = 1) -> "Field":
-        return cls(grid, np.zeros((components,) + grid.shape), validate=False)
-
-    @classmethod
     def from_callable(cls, grid: PeriodicGrid, fn, components: int | None = None) -> "Field":
         """Sample ``fn`` at the nodes. ``fn`` maps ``(dim,)+shape`` coords to
         ``(components,)+shape`` values (or ``shape`` for scalars)."""
@@ -124,10 +116,6 @@ class Field:
     @property
     def components(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.components == 1
 
     @property
     def is_vector(self) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from .grid import Field, PeriodicGrid
+from .grid import PeriodicGrid
 from .utils import thread_map
 
 _MODE = "grid-wrap"
@@ -57,15 +57,6 @@ class FieldInterpolator:
                 coef, idx, output=out[c], order=self.order, mode=_MODE, prefilter=False
             )
         return out.reshape((self._coeffs.shape[0],) + tail)
-
-
-def interpolate(f: Field, points: np.ndarray, order: int = 3) -> np.ndarray:
-    """One-shot interpolation of ``f`` at ``points`` (shape ``(d, ...)``).
-
-    Returns values of shape ``(components, ...)``; scalars keep their
-    leading length-1 axis. Exact on constants and at grid nodes.
-    """
-    return FieldInterpolator(f.grid, f.values, order=order).at(points)
 
 
 def interpolate_batch(

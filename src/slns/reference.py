@@ -36,13 +36,6 @@ def taylor_green_2d(grid: PeriodicGrid, amplitude: float = 1.0) -> Field:
     return Field(grid, vals)
 
 
-def taylor_green_2d_vorticity(grid: PeriodicGrid, amplitude: float = 1.0) -> Field:
-    """Scalar curl of :func:`taylor_green_2d`: ``-2k cos kx cos ky``."""
-    k = _TWO_PI / grid.length
-    x, y = grid.coordinates()
-    return Field(grid, (-2.0 * k * amplitude * np.cos(k * x) * np.cos(k * y))[None])
-
-
 def taylor_green_energy(length: float, amplitude: float = 1.0) -> float:
     """Kinetic energy ``0.5 ||u||_2^2`` of the 2D cellular field: each
     component integrates to ``L^2/4``, so the energy is ``L^2 A^2 / 4``."""
@@ -94,11 +87,6 @@ def sine_mode(grid: PeriodicGrid, mode: int = 1, component: int = 0, amplitude: 
     vals = np.zeros((grid.dim,) + grid.shape)
     vals[component] = amplitude * np.sin(k * coords[0])
     return Field(grid, vals)
-
-
-def heat_decay_factor(grid: PeriodicGrid, mode: int, nu: float, t: float) -> float:
-    """Exact heat-kernel damping ``exp(-nu |k|^2 t)`` of a single mode."""
-    return float(np.exp(-nu * (_TWO_PI * mode / grid.length) ** 2 * t))
 
 
 def random_band_limited(
@@ -429,27 +417,18 @@ def finite_difference_burgers(
     return u[::ratio].copy()
 
 
-def taylor_green_ns_solution(grid: PeriodicGrid, nu: float, t: float, amplitude: float = 1.0) -> Field:
-    """Closed-form Navier-Stokes evolution of the 2D cellular field."""
-    decay = np.exp(-taylor_green_decay_rate(grid.length, nu) * t)
-    return taylor_green_2d(grid, amplitude * decay)
-
-
 __all__ = [
     "abc_flow",
     "analytic_field",
     "cole_hopf_burgers",
     "finite_difference_burgers",
-    "heat_decay_factor",
     "leray_project",
     "random_band_limited",
     "sine_mode",
     "spectral_ns_run",
     "spectral_resample",
     "taylor_green_2d",
-    "taylor_green_2d_vorticity",
     "taylor_green_3d",
     "taylor_green_decay_rate",
     "taylor_green_energy",
-    "taylor_green_ns_solution",
 ]

@@ -13,8 +13,6 @@ offset    type    meaning
 26        f64     time stamp
 34        f64[]   values, C order, shape (c,) + (n,)*dim
 ========  ======  =======================================
-
-A CSV export (one row per grid point) is provided for small grids.
 """
 
 from __future__ import annotations
@@ -54,17 +52,3 @@ def read_snapshot(path: str | Path) -> tuple[Field, float]:
         data = np.frombuffer(payload, dtype="<f8")
         values = data.reshape((ncomp,) + grid.shape).astype(np.float64)
     return Field(grid, values), float(time)
-
-
-def export_csv(path: str | Path, field: Field) -> None:
-    """One row per grid point: coordinates then component values."""
-    g = field.grid
-    coords = g.coordinates().reshape(g.dim, -1)
-    vals = field.values.reshape(field.components, -1)
-    names = ["x", "y", "z"][: g.dim] + [f"c{i}" for i in range(field.components)]
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for p in range(coords.shape[1]):
-            row = [f"{coords[j, p]:.17g}" for j in range(g.dim)]
-            row += [f"{vals[c, p]:.17g}" for c in range(field.components)]
-            fh.write(",".join(row) + "\n")

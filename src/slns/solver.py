@@ -74,6 +74,7 @@ DIAG_COLUMNS = (
     "probe_se",
     "probe_se_accum",
 )
+CIRCULATION_COLUMNS = ("time", "realization", "gamma_initial", "gamma_transported", "defect")
 
 
 @dataclass
@@ -121,6 +122,9 @@ class SolverConfig:
             raise ConfigError(f"equation must be one of {EQUATIONS}, got {self.equation!r}")
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
+        for name in ("length", "nu", "alpha", "dt", "t_end", "cfl_max", "inversion_tol_factor"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.equation == "euler" and self.nu != 0.0:
             raise ConfigError("equation=euler requires nu=0 (noise-free run)")
         if self.nu < 0:
@@ -129,12 +133,14 @@ class SolverConfig:
             raise ConfigError("alpha must be >= 0")
         if self.dt <= 0 or self.t_end < 0:
             raise ConfigError("dt must be positive and t_end nonnegative")
-        if self.realizations < 1:
-            raise ConfigError("need at least one realization")
-        if self.reset_interval < 1:
-            raise ConfigError("reset_interval must be >= 1")
-        if self.picard_iters < 1:
-            raise ConfigError("picard_iters must be >= 1")
+        if self.cfl_max <= 0 or self.inversion_tol_factor <= 0:
+            raise ConfigError("cfl_max and inversion_tol_factor must be positive")
+        for name in ("realizations", "reset_interval", "picard_iters", "newton_max_iter",
+                     "substeps", "circulation_realizations"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0 or self.snapshot_interval < 0:
+            raise ConfigError("seed and snapshot_interval must be >= 0")
         if self.interpolation not in ("cubic", "linear", "quintic"):
             raise ConfigError("interpolation must be 'cubic', 'linear' or 'quintic'")
         steps = self.t_end / self.dt
@@ -146,6 +152,12 @@ class SolverConfig:
             raise ConfigError(str(exc)) from None
         if self.forcing is not None or self.forcing_params:
             make_forcing(self.forcing, self)
+        if self.circulation_curve and self.dim != 2:
+            raise ConfigError(f"a [circulation] curve needs dim = 2, got dim = {self.dim}")
+        if self.probes is not None:
+            pts = np.asarray(self.probes, dtype=np.float64)
+            if pts.size == 0 or pts.size % self.dim or not np.isfinite(pts).all():
+                raise ConfigError(f"probes must be one or more finite {self.dim}-vectors")
 
     @property
     def num_steps(self) -> int:
@@ -248,12 +260,6 @@ class Diagnostics:
     def column(self, name: str) -> np.ndarray:
         return np.array([r[name] for r in self.rows])
 
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            fh.write(",".join(DIAG_COLUMNS) + "\n")
-            for r in self.rows:
-                fh.write(",".join(_fmt(r[c]) for c in DIAG_COLUMNS) + "\n")
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -262,6 +268,16 @@ def _fmt(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return f"{float(v):.17g}"
+
+
+def write_csv(path: str | Path, columns, rows) -> None:
+    """A header line, then one line per dict in ``rows`` with its
+    ``columns`` cells: integers as plain digits, floats as ``.17g``
+    (they parse back to the same float64)."""
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for r in rows:
+            fh.write(",".join(_fmt(r[c]) for c in columns) + "\n")
 
 
 @dataclass
@@ -475,7 +491,7 @@ class StochasticSolver:
         max_det_dev = self.flow.max_det_deviation()
 
         defect = 0.0
-        if self.curve is not None and self.grid.dim == 2:
+        if self.curve is not None:
             defect = self._circulation_diagnostics(label_u)
 
         if cfg.realizations > 1:
@@ -519,15 +535,7 @@ class StochasticSolver:
                 quadrature_n=256,
                 order=self.order,
             )
-            self.circulation_rows.append(
-                {
-                    "time": self.t,
-                    "realization": m,
-                    "gamma_initial": res["gamma_initial"],
-                    "gamma_transported": res["gamma_transported"],
-                    "defect": res["defect"],
-                }
-            )
+            self.circulation_rows.append({"time": self.t, "realization": m, **res})
             worst = max(worst, res["defect"])
         return worst
 
@@ -560,10 +568,15 @@ class StochasticSolver:
         finally:
             # partial results are still written out when a step aborts
             if out_dir is not None:
-                self.diagnostics.to_csv(out_dir / "diag.csv")
-                self._write_timing(out_dir / "timing.csv")
+                write_csv(out_dir / "diag.csv", DIAG_COLUMNS, self.diagnostics.rows)
+                write_csv(
+                    out_dir / "timing.csv",
+                    ("step", "wall_seconds"),
+                    ({"step": i + 1, "wall_seconds": w} for i, w in enumerate(self.wall_times)),
+                )
                 if self.circulation_rows:
-                    self._write_circulation(out_dir / "circulation.csv")
+                    write_csv(out_dir / "circulation.csv", CIRCULATION_COLUMNS,
+                              self.circulation_rows)
 
         artifacts: dict[str, str] = {}
         if out_dir is not None:
@@ -583,19 +596,6 @@ class StochasticSolver:
             wall_times=self.wall_times,
             artifacts=artifacts,
         )
-
-    def _write_timing(self, path: Path) -> None:
-        with open(path, "w") as fh:
-            fh.write("step,wall_seconds\n")
-            for i, w in enumerate(self.wall_times):
-                fh.write(f"{i + 1},{w:.6f}\n")
-
-    def _write_circulation(self, path: Path) -> None:
-        cols = ("time", "realization", "gamma_initial", "gamma_transported", "defect")
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for r in self.circulation_rows:
-                fh.write(",".join(_fmt(r[c]) for c in cols) + "\n")
 
 
 def run(config: SolverConfig) -> RunResult:

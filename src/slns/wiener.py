@@ -7,8 +7,9 @@ realization ``m`` owns row ``m``. Because numpy fills the block
 sequentially, row ``m`` never depends on how many rows were requested, so
 
 * results do not depend on query order or worker count;
-* an ensemble with fewer realizations reproduces the first rows of a
-  larger one bit for bit (common random numbers across ensemble sizes).
+* a smaller ensemble built with the same seed and ``substeps``
+  reproduces the first rows of a larger one bit for bit (common random
+  numbers across ensemble sizes).
 """
 
 from __future__ import annotations
@@ -57,24 +58,3 @@ class WienerEnsemble:
         for j in range(1, self.substeps):
             out += self._block(base + j, self.realizations)
         return out * scale
-
-    def increment(self, m: int, step: int, dt: float) -> np.ndarray:
-        """Single-realization access; identical to row ``m`` of
-        :meth:`increments`."""
-        if not 0 <= m < self.realizations:
-            raise ValueError("realization index out of range")
-        return self.subset(m + 1).increments(step, dt)[m]
-
-    def subset(self, realizations: int) -> "WienerEnsemble":
-        """First ``realizations`` paths of this ensemble (shared streams)."""
-        if realizations > self.realizations:
-            raise ValueError("cannot grow an ensemble by subsetting")
-        return WienerEnsemble(realizations, self.dim, self.seed, self.substeps)
-
-    def refined(self, factor: int) -> "WienerEnsemble":
-        """Same Brownian paths, reported at ``factor`` times finer steps."""
-        if self.substeps % factor != 0:
-            raise ValueError("refinement factor must divide substeps")
-        return WienerEnsemble(
-            self.realizations, self.dim, self.seed, self.substeps // factor
-        )

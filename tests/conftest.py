@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slns.grid import PeriodicGrid
+from slns.grid import Field, PeriodicGrid
 from slns.interp import FieldInterpolator
 
 
@@ -32,6 +32,29 @@ def spline_builds(monkeypatch):
 
     monkeypatch.setattr(FieldInterpolator, "__init__", counted)
     return built
+
+
+def composition_residual(flow):
+    """``max |X(A(x)) - x|`` over grid and realizations of an inverted
+    ``FlowEnsemble``: the inversion cross-check, on a fresh spline of ``xi``."""
+    grid = flow.grid
+    d = grid.dim
+    coords = grid.coordinates().reshape(d, -1)
+    cores = zip(flow.xi.reshape((-1, d) + grid.shape), flow.beta.reshape((-1,) + coords.shape))
+    worst = 0.0
+    for xi, b in cores:
+        pts = coords + b
+        xi_interp = FieldInterpolator(grid, xi, order=flow.order)
+        res = grid.wrap_centered(pts + xi_interp.at(pts) - coords)
+        worst = max(worst, float(np.max(np.abs(res))))
+    return worst
+
+
+def taylor_green_2d_vorticity(grid, amplitude=1.0):
+    """Analytic scalar curl of ``reference.taylor_green_2d``: ``-2k cos kx cos ky``."""
+    k = 2.0 * np.pi / grid.length
+    x, y = grid.coordinates()
+    return Field(grid, (-2.0 * k * amplitude * np.cos(k * x) * np.cos(k * y))[None])
 
 
 def fit_order(values, errors):

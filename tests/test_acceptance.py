@@ -285,7 +285,7 @@ def test_criterion_7_operator_suite():
     assert d_order >= 3.5
 
     # interpolation order on a smooth field
-    from slns.interp import interpolate
+    from slns.interp import FieldInterpolator
 
     pts = np.linspace(0, L, 500, endpoint=False)[None, :]
     ierrs = []
@@ -293,7 +293,7 @@ def test_criterion_7_operator_suite():
         g1 = PeriodicGrid(1, n, L)
         f = Field.from_callable(g1, lambda c: np.sin(2 * c[0]) + 0.3 * np.cos(3 * c[0]))
         exact = np.sin(2 * pts[0]) + 0.3 * np.cos(3 * pts[0])
-        ierrs.append(np.max(np.abs(interpolate(f, pts)[0] - exact)))
+        ierrs.append(np.max(np.abs(FieldInterpolator(g1, f.values).at(pts)[0] - exact)))
     i_order = fit_order(ns, ierrs)
     assert i_order >= 3.5
 

@@ -268,6 +268,36 @@ realizations = 2
         assert main(["run", str(p), "--set", override]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "run.nu=nan",  # `nu > 0` is false for NaN: a noise-free run
+            "run.alpha=inf",
+            "run.cfl_max=nan",  # `cfl > nan` never holds: no CFL check
+            "run.cfl_max=0",
+            "run.inversion_tol_factor=nan",  # `rnorm > nan` never holds
+            "run.inversion_tol_factor=-1e-8",
+            "run.dt=nan",
+            "run.t_end=nan",
+            "run.newton_max_iter=0",
+            "run.substeps=0",
+            "run.seed=-1",
+            "output.snapshot_interval=-1",  # `step % -1 == 0` on every step
+            "output.probes=",
+            "output.probes=1.0, nan",
+            "circulation.realizations=0",  # would compute no circulation
+        ],
+    )
+    def test_out_of_range_run_value_exit_1(self, tmp_path, capsys, override):
+        p = write_cfg(tmp_path, TG_CFG)
+        assert main(["run", str(p), "--set", override]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_circulation_needs_2d(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, BURGERS_CFG + "\n[circulation]\nkind = circle\n")
+        assert main(["run", str(p)]) == 1
+        assert "circulation" in capsys.readouterr().err
+
     def test_compare_gates_pass_and_fail(self, tmp_path, capsys):
         p = write_cfg(tmp_path, BURGERS_CFG)
         main(["run", str(p)])

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import fit_order
 from slns.grid import Field, PeriodicGrid
-from slns.interp import FieldInterpolator, interpolate, interpolate_batch
+from slns.interp import FieldInterpolator, interpolate_batch
 
 # one-time measurement at N=64 gave max error 2.42e-7 for sin at midpoints,
 # i.e. C = err * N^4 ~ 4.1; frozen with a 2x margin
@@ -14,11 +14,11 @@ class TestCubicSpline:
     def test_constant_exact(self, grid2d):
         f = Field(grid2d, np.full((1,) + grid2d.shape, 3.0))
         pts = np.random.default_rng(0).uniform(-5, 15, (2, 40))
-        assert np.max(np.abs(interpolate(f, pts) - 3.0)) <= 1e-13
+        assert np.max(np.abs(FieldInterpolator(grid2d, f.values).at(pts) - 3.0)) <= 1e-13
 
     def test_nodes_exact(self, grid1d):
         f = Field.from_callable(grid1d, lambda c: np.sin(c[0]))
-        vals = interpolate(f, grid1d.axis()[None, :])
+        vals = FieldInterpolator(grid1d, f.values).at(grid1d.axis()[None, :])
         assert np.max(np.abs(vals[0] - f.values[0])) <= 1e-13
 
     def test_midpoint_error_bound(self):
@@ -26,7 +26,8 @@ class TestCubicSpline:
             grid = PeriodicGrid(1, n, 2 * np.pi)
             f = Field.from_callable(grid, lambda c: np.sin(c[0]))
             mid = grid.axis() + grid.spacing / 2
-            err = np.max(np.abs(interpolate(f, mid[None, :])[0] - np.sin(mid)))
+            spline = FieldInterpolator(grid, f.values)
+            err = np.max(np.abs(spline.at(mid[None, :])[0] - np.sin(mid)))
             assert err <= SPLINE_CONSTANT / n**4
 
     def test_convergence_order(self):
@@ -37,25 +38,27 @@ class TestCubicSpline:
             grid = PeriodicGrid(1, n, 2 * np.pi)
             f = Field.from_callable(grid, lambda c: np.sin(2 * c[0]) + 0.5 * np.cos(3 * c[0]))
             exact = np.sin(2 * pts[0]) + 0.5 * np.cos(3 * pts[0])
-            errs.append(np.max(np.abs(interpolate(f, pts)[0] - exact)))
+            errs.append(np.max(np.abs(FieldInterpolator(grid, f.values).at(pts)[0] - exact)))
         assert fit_order(ns, errs) >= 3.5
 
     def test_periodic_wrap(self, grid1d):
         f = Field.from_callable(grid1d, lambda c: np.sin(c[0]))
-        a = interpolate(f, np.array([[0.3]]))
-        b = interpolate(f, np.array([[0.3 + 6 * grid1d.length]]))
-        c = interpolate(f, np.array([[0.3 - 2 * grid1d.length]]))
+        spline = FieldInterpolator(grid1d, f.values)
+        a = spline.at(np.array([[0.3]]))
+        b = spline.at(np.array([[0.3 + 6 * grid1d.length]]))
+        c = spline.at(np.array([[0.3 - 2 * grid1d.length]]))
         assert abs(a - b) <= 1e-12 and abs(a - c) <= 1e-12
 
     def test_rejects_nan_points(self, grid1d):
         f = Field.from_callable(grid1d, lambda c: np.sin(c[0]))
         with pytest.raises(ValueError):
-            interpolate(f, np.array([[np.nan]]))
+            FieldInterpolator(grid1d, f.values).at(np.array([[np.nan]]))
 
     def test_linear_fallback(self, grid1d):
         f = Field.from_callable(grid1d, lambda c: np.sin(c[0]))
         mid = grid1d.axis() + grid1d.spacing / 2
-        err = np.max(np.abs(interpolate(f, mid[None, :], order=1)[0] - np.sin(mid)))
+        linear = FieldInterpolator(grid1d, f.values, order=1)
+        err = np.max(np.abs(linear.at(mid[None, :])[0] - np.sin(mid)))
         # second order: h^2/8 * |f''|
         assert err <= 0.2 * grid1d.spacing**2
         assert err >= 0.01 * grid1d.spacing**2  # it is genuinely linear, not cubic

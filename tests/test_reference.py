@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import fit_order
+from conftest import fit_order, taylor_green_2d_vorticity
 from slns.grid import Field
 from slns.reference import (
     abc_flow,
@@ -13,10 +13,9 @@ from slns.reference import (
     random_band_limited,
     spectral_ns_run,
     taylor_green_2d,
-    taylor_green_2d_vorticity,
     taylor_green_3d,
+    taylor_green_decay_rate,
     taylor_green_energy,
-    taylor_green_ns_solution,
 )
 from slns.spectral import curl, divergence
 
@@ -69,7 +68,7 @@ class TestSpectralNS:
         u0 = taylor_green_2d(grid2d)
         traj = spectral_ns_run(u0, nu=0.05, dt=0.01, t_end=1.0)
         t, uf = traj[-1]
-        exact = taylor_green_ns_solution(grid2d, 0.05, 1.0)
+        exact = taylor_green_2d(grid2d, np.exp(-taylor_green_decay_rate(L, 0.05) * 1.0))
         assert (uf - exact).max_norm() <= 1e-8
 
     def test_inviscid_energy_conserved(self, grid2d):

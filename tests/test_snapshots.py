@@ -3,7 +3,7 @@ import pytest
 
 from slns.grid import Field, PeriodicGrid
 from slns.reference import taylor_green_2d
-from slns.snapshots import MAGIC, export_csv, read_snapshot, write_snapshot
+from slns.snapshots import MAGIC, read_snapshot, write_snapshot
 
 
 class TestBinaryFormat:
@@ -47,21 +47,3 @@ class TestBinaryFormat:
         with pytest.raises(ValueError, match="truncated"):
             read_snapshot(p)
 
-
-class TestCSVExport:
-    def test_small_grid_rows(self, tmp_path):
-        grid = PeriodicGrid(1, 8, 1.0)
-        f = Field(grid, np.arange(8, dtype=float)[None])
-        p = tmp_path / "f.csv"
-        export_csv(p, f)
-        lines = p.read_text().strip().splitlines()
-        assert lines[0] == "x,c0"
-        assert len(lines) == 9
-        assert lines[1].startswith("0,0")
-
-    def test_vector_2d_columns(self, tmp_path):
-        grid = PeriodicGrid(2, 8, 1.0)
-        f = Field(grid, np.zeros((2,) + grid.shape))
-        p = tmp_path / "f.csv"
-        export_csv(p, f)
-        assert p.read_text().splitlines()[0] == "x,y,c0,c1"

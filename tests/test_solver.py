@@ -17,6 +17,8 @@ from slns.reference import (
     taylor_green_decay_rate,
 )
 from slns.solver import (
+    CIRCULATION_COLUMNS,
+    DIAG_COLUMNS,
     SolverConfig,
     StochasticSolver,
     convergence_study,
@@ -79,6 +81,11 @@ class TestConfigValidation:
     def test_non_power_of_two(self):
         with pytest.raises(ConfigError):
             tg_config(n=100)
+
+    def test_probes_must_be_dim_vectors(self):
+        # three coordinates do not reshape to (2, P)
+        with pytest.raises(ConfigError, match="probes"):
+            tg_config(probes=[1.0, 2.0, 3.0])
 
     def test_divergent_initial_rejected(self):
         cfg = tg_config(initial="sine_mode", initial_params={"mode": 1})
@@ -475,6 +482,31 @@ class TestCirculationDiagnostics:
         assert len(csv) == 1 + 4 * 2  # 4 steps x 2 realizations
         defects = res.diagnostics.column("circulation_defect")
         assert np.all(defects < 1e-3)
+
+    def test_csv_cells_read_back_exactly(self, tmp_path):
+        cfg = tg_config(
+            n=32,
+            t_end=0.02,
+            realizations=8,
+            circulation_curve={"kind": "circle"},
+            output_dir=str(tmp_path),
+        )
+        solver = StochasticSolver(cfg)
+        solver.run()
+        tables = (
+            ("diag.csv", DIAG_COLUMNS, solver.diagnostics.rows),
+            ("circulation.csv", CIRCULATION_COLUMNS, solver.circulation_rows),
+        )
+        for name, columns, rows in tables:
+            lines = (tmp_path / name).read_text().splitlines()
+            assert lines[0] == ",".join(columns)
+            assert len(lines) == 1 + len(rows) and rows
+            for line, row in zip(lines[1:], rows):
+                for cell, col in zip(line.split(","), columns, strict=True):
+                    if isinstance(row[col], int):  # step, realization
+                        assert cell.isdigit() and int(cell) == row[col], (name, col, cell)
+                    else:  # every float64 bit survives the text round trip
+                        assert float(cell) == row[col], (name, col, cell)
 
 
 class TestBackends:

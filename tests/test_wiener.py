@@ -11,12 +11,6 @@ class TestDeterminism:
         b = w.increments(7, 0.01)
         assert np.array_equal(a, b)
 
-    def test_single_matches_block(self):
-        w = WienerEnsemble(50, 2, seed=9)
-        block = w.increments(3, 0.5)
-        for m in (0, 17, 49):
-            assert np.array_equal(w.increment(m, 3, 0.5), block[m])
-
     def test_steps_differ(self):
         w = WienerEnsemble(8, 1, seed=1)
         assert not np.array_equal(w.increments(0, 0.1), w.increments(1, 0.1))
@@ -28,7 +22,7 @@ class TestDeterminism:
 
     def test_subset_prefix_stable(self):
         big = WienerEnsemble(1024, 2, seed=5)
-        small = big.subset(100)
+        small = WienerEnsemble(100, 2, seed=5)
         blk = big.increments(11, 0.02)
         assert np.array_equal(small.increments(11, 0.02), blk[:100])
 
@@ -74,14 +68,10 @@ class TestRefinement:
     def test_substep_sum_consistency(self):
         # the coarse increment is exactly the sum of its refined pieces
         coarse = WienerEnsemble(16, 2, seed=21, substeps=4)
-        fine = coarse.refined(4)
+        fine = WienerEnsemble(16, 2, seed=21)
         dt = 0.08
         total = sum(fine.increments(4 * 3 + j, dt / 4) for j in range(4))
         assert np.allclose(coarse.increments(3, dt), total, rtol=0, atol=1e-15)
-
-    def test_refined_requires_divisibility(self):
-        with pytest.raises(ValueError):
-            WienerEnsemble(4, 1, seed=0, substeps=4).refined(3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
