@@ -33,6 +33,7 @@ from .solver import (
 
 
 ORACLES = ("cole_hopf", "spectral_ns", "analytic")
+NORMS = ("l2", "rel_l2", "linf")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=ORACLES,
         help="overrides the run's [compare] oracle (default analytic)",
     )
-    p_cmp.add_argument("--norms", default="l2,linf", help="comma list of norms to report")
+    p_cmp.add_argument("--norms", default="l2,linf", help=f"comma list of {', '.join(NORMS)}")
     p_cmp.set_defaults(handler=cmd_compare)
 
     p_conv = sub.add_parser("convergence", help="refinement study along dt, n or realizations")
@@ -162,6 +163,9 @@ def cmd_compare(args) -> int:
     config = load_config(cfg_path)
     gates = compare_gates(cfg_path)
     norms = [n.strip() for n in args.norms.split(",") if n.strip()]
+    unknown = [n for n in norms if n not in NORMS]
+    if unknown:
+        raise ConfigError(f"--norms must name some of {NORMS}, got {unknown}")
     oracle = args.oracle or gates.get("oracle", "analytic")
     if oracle not in ORACLES:
         raise ConfigError(f"[compare] oracle must be one of {ORACLES}, got {oracle!r}")
@@ -186,11 +190,11 @@ def cmd_compare(args) -> int:
         )
 
     out_csv = run_dir / f"compare_{oracle}.csv"
-    write_csv(out_csv, ("time", "l2", "rel_l2", "linf"), rows)
+    write_csv(out_csv, ("time",) + NORMS, rows)
 
     print(f"comparison against {oracle} ({len(rows)} snapshots) -> {out_csv}")
     for r in rows:
-        cols = "  ".join(f"{n}={r[n]:.3e}" for n in norms if n in r)
+        cols = "  ".join(f"{n}={r[n]:.3e}" for n in norms)
         print(f"  t={r['time']:<8g} {cols}")
 
     failed = []

@@ -212,9 +212,11 @@ class FlowEnsemble:
     (None until :meth:`shift_multiplier` first builds it); ensembles
     advanced from one parent with the same noise have equal shifts and may
     be handed one ``chi``. ``_integrands`` maps the ``weber`` flag to the
-    last recovery integrand built on this ensemble's inverse map and the
-    label array it was built from (see ``recovery._integrand``): the core
-    ``(c,) + shape`` when map and labels are shared, else ``(M, c) + shape``.
+    last recovery integrand ``J`` built on this ensemble's inverse cores and
+    the label array it was built from (see ``recovery._integrand``). ``J``
+    is in the core frame: realization ``m``'s integrand is ``J`` (or
+    ``J[m]``) translated by ``shifts[m]``. It is ``(c,) + shape`` when map
+    and labels are shared, else ``(M, c) + shape``.
     ``_label_splines`` maps the flag to a shared label array and its spline:
     one dict per label window, shared with the ensembles advanced from this.
     """

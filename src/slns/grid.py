@@ -65,9 +65,13 @@ class PeriodicGrid:
         return np.stack(axes)
 
     def wrap_centered(self, dx: np.ndarray) -> np.ndarray:
-        """Map displacements into ``[-length/2, length/2)``."""
-        half = 0.5 * self.length
-        return np.mod(dx + half, self.length) - half
+        """Map displacements into ``[-length/2, length/2)`` by subtracting
+        the nearest whole number of periods, ``dx - L floor(dx/L + 1/2)``.
+
+        A displacement already shorter than ``length/2`` comes back
+        unchanged, bit for bit (no rounding to the period's ulp).
+        """
+        return dx - self.length * np.floor(dx / self.length + 0.5)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PeriodicGrid):

@@ -9,12 +9,17 @@ optionally weight by a map gradient, project, average":
 * 3D vorticity:       ``w = E[ ((grad X) w0) o A ]``
 * filtered (alpha):   ``v`` as incompressible, then ``u = (1-a^2 Lap)^-1 v``
 
-In the shared representation (all realizations are uniform translates of
-one core map) each formula is evaluated once on the core and the ensemble
-average becomes a single spectral multiplier, the empirical characteristic
-function of the shifts. In the general representation the integrand is
-evaluated per realization and averaged with ``mean(axis=0)``. Either way
-one routine, :func:`_integrand`, builds the integrand and keeps it on the
+Because the noise is uniform in space, ``A_m(x) = B_m(x - s_m)`` with
+``B_m`` the periodic inverse core, so every integrand is composed in the
+core frame (with ``B_m``, at the grid nodes) and realization ``m``'s
+integrand is that field translated by the shift ``s_m``. In the shared
+representation (one core for all realizations) the formula is evaluated
+once and the ensemble average becomes a single spectral multiplier, the
+empirical characteristic function of the shifts. In the general
+representation (one core per realization) the average is one phase sum
+``mean_m fft(J_m) exp(-i k . s_m)``. Either way the projection is applied
+once, to the averaged coefficients, before one inverse transform. One
+routine, :func:`_integrand`, builds the integrand and keeps it on the
 flow, so the per-realization diagnostics read it instead of rebuilding it.
 """
 
@@ -25,7 +30,7 @@ import numpy as np
 from .flowmap import FlowEnsemble, translate_batch
 from .grid import Field, PeriodicGrid
 from .interp import FieldInterpolator, interpolate_batch
-from .spectral import gradient_values, project_values, workspace
+from .spectral import gradient_values, project_coeffs, project_values, shift_mean_coeffs, workspace
 
 
 # ---------------------------------------------------------------------------
@@ -38,14 +43,15 @@ def _label_array(label) -> np.ndarray:
 
 
 def _integrand(flow: FlowEnsemble, label_values: np.ndarray, weber: bool) -> np.ndarray:
-    """``u0 o A``, weighted by ``grad^T A`` when ``weber`` is set.
+    """``u0 o B``, weighted by ``grad^T B`` when ``weber`` is set: the
+    integrand in the core frame of each inverse core ``B = I + beta``.
 
-    With a shared flow and shared labels ``(c,) + shape`` the displacement
-    is the core inverse ``beta`` and the result is the core ``(c,) + shape``;
-    realization ``m`` of the integrand is that field translated by
-    ``flow.shifts[m]``. Otherwise it is ``flow.alpha_general()`` and the
-    result is ``(M, c) + shape``; labels may then also be per-realization
-    ``(M, c) + shape`` (accumulated forcing).
+    Realization ``m``'s integrand is this field translated by
+    ``flow.shifts[m]``, because ``A_m(x) = B_m(x - s_m)``. With a shared
+    flow and shared labels ``(c,) + shape`` the result is the one core
+    ``(c,) + shape``. Otherwise it is ``(M, c) + shape``: one core per
+    realization, or per-realization labels ``(M, c) + shape`` (accumulated
+    forcing) on the shared core.
 
     The result is kept on ``flow`` (cleared by ``invert``/``reset``) and
     returned again for the same label array, whose spline is kept for the
@@ -58,14 +64,11 @@ def _integrand(flow: FlowEnsemble, label_values: np.ndarray, weber: bool) -> np.
     grid = flow.grid
     d = grid.dim
     c = label_values.shape[-d - 1]
-    shared_labels = label_values.ndim == d + 1
-    if flow.mode == "shared" and shared_labels:
-        disp, lead, prefix = flow._require_beta(), (), ""
-    else:
-        disp, lead, prefix = flow.alpha_general(), (flow.m,), "m"
-    pts = disp.reshape(lead + (d, -1)) + grid.coordinates().reshape(d, -1)
-    if shared_labels:
-        # one interpolator over the points of every realization
+    beta = flow._require_beta()
+    lead = beta.shape[: -d - 1]  # () for one shared core, else (M,)
+    pts = beta.reshape(lead + (d, -1)) + grid.coordinates().reshape(d, -1)
+    if label_values.ndim == d + 1:
+        # one interpolator over the points of every core
         spline = flow._label_splines.get(weber)
         if spline is None or spline[0] is not label_values:
             spline = (label_values, FieldInterpolator(grid, label_values, order=flow.order))
@@ -74,13 +77,16 @@ def _integrand(flow: FlowEnsemble, label_values: np.ndarray, weber: bool) -> np.
         vals = spline[1].at(flat)
         vals = np.moveaxis(vals.reshape((c,) + lead + (-1,)), 0, -2)
     else:
+        lead = (flow.m,)
+        pts = np.broadcast_to(pts, lead + pts.shape[-2:])
         vals = interpolate_batch(
             grid, label_values, pts, order=flow.order, workers=flow.workers
         )
     vals = vals.reshape(lead + (c,) + grid.shape)
     if weber:
-        grad = gradient_values(disp, workspace(grid))  # [.., j, i] = d_i disp_j
-        vals = vals + np.einsum(f"{prefix}ji...,{prefix}j...->{prefix}i...", grad, vals)
+        grad = gradient_values(beta, workspace(grid))  # [.., j, i] = d_i beta_j
+        gp, vp = "m" * (beta.ndim - d - 1), "m" * (vals.ndim - d - 1)
+        vals = vals + np.einsum(f"{gp}ji...,{vp}j...->{vp}i...", grad, vals)
     flow._integrands[weber] = (label_values, vals)
     return vals
 
@@ -88,16 +94,24 @@ def _integrand(flow: FlowEnsemble, label_values: np.ndarray, weber: bool) -> np.
 def _recover(
     flow: FlowEnsemble, label_values: np.ndarray, weber: bool, project: bool
 ) -> np.ndarray:
-    """Ensemble-mean recovery; the workhorse behind every public formula."""
+    """Ensemble-mean recovery; the workhorse behind every public formula.
+
+    The mean of the translated integrands is formed once in Fourier space,
+    and the projection is applied to that one mean.
+    """
     ws = workspace(flow.grid)
     vals = _integrand(flow, label_values, weber)
-    if project:
-        vals = project_values(vals, ws)
-    if vals.ndim == flow.grid.dim + 2:
-        return vals.mean(axis=0)
+    per_realization = vals.ndim == flow.grid.dim + 2
     if not flow.shifts.any():
-        return vals.copy()
-    return ws.ifft(ws.fft(vals) * flow.shift_multiplier(ws))
+        mean = vals.mean(axis=0) if per_realization else vals
+        return project_values(mean, ws) if project else mean.copy()
+    if per_realization:
+        coeffs = shift_mean_coeffs(ws.fft(vals), flow.shifts, ws)
+    else:
+        coeffs = ws.fft(vals) * flow.shift_multiplier(ws)
+    if project:
+        project_coeffs(coeffs, ws)
+    return ws.ifft(coeffs)
 
 
 def realization_field(
@@ -106,10 +120,9 @@ def realization_field(
     """Recovered field of one realization (``u~`` when ``project=True``)."""
     ws = workspace(flow.grid)
     vals = _integrand(flow, label_values, weber)
-    core = vals.ndim == flow.grid.dim + 1
-    vals = vals if core else vals[m]
+    vals = vals if vals.ndim == flow.grid.dim + 1 else vals[m]
     vals = project_values(vals, ws) if project else vals.copy()
-    if core and flow.shifts[m].any():
+    if flow.shifts[m].any():
         return translate_batch(vals[None], flow.shifts[m : m + 1], ws)[0]
     return vals
 
@@ -125,13 +138,12 @@ def probe_spread(
     label array is reused.
     """
     grid = flow.grid
-    d = grid.dim
     vals = _integrand(flow, label_values, weber)
-    if vals.ndim == d + 1:
-        # realization m sees the core at (p - s_m)
+    # realization m sees its core-frame integrand at (p - s_m)
+    if vals.ndim == grid.dim + 1:
         pts = probes[:, None, :] - flow.shifts.T[:, :, None]  # (d, M, P)
         return np.moveaxis(FieldInterpolator(grid, vals, order=flow.order).at(pts), 0, 1)
-    pts = np.broadcast_to(probes, (flow.m,) + probes.shape)
+    pts = probes[None] - flow.shifts[:, :, None]  # (M, d, P)
     return interpolate_batch(grid, vals, pts, order=flow.order, workers=flow.workers)
 
 
@@ -148,11 +160,11 @@ def burgers_velocity(flow: FlowEnsemble, u0) -> np.ndarray:
 def weber_velocity(flow: FlowEnsemble, u0) -> np.ndarray:
     """``E P[(grad^T A)(u0 o A)]``: divergence-free velocity recovery.
 
-    The projection is applied per realization (each projected integrand is
-    the stochastic velocity ``u~`` of that realization); since projection,
-    translation and averaging are all Fourier multipliers, projecting the
-    ensemble mean once gives the same field to rounding. ``u0`` may be
-    shared ``(d,) + shape`` or per-realization ``(M, d) + shape``.
+    The projection is applied once, after the ensemble average. Projection,
+    translation and averaging are all Fourier multipliers, so this equals
+    the mean of the per-realization stochastic velocities ``u~`` (see
+    :func:`stochastic_velocity`) to rounding. ``u0`` may be shared
+    ``(d,) + shape`` or per-realization ``(M, d) + shape``.
     """
     d = flow.grid.dim
     label = _label_array(u0)

@@ -152,8 +152,18 @@ class SolverConfig:
             raise ConfigError(str(exc)) from None
         if self.forcing is not None or self.forcing_params:
             make_forcing(self.forcing, self)
-        if self.circulation_curve and self.dim != 2:
-            raise ConfigError(f"a [circulation] curve needs dim = 2, got dim = {self.dim}")
+        if self.circulation_curve:
+            if self.dim != 2:
+                raise ConfigError(f"a [circulation] curve needs dim = 2, got dim = {self.dim}")
+            spec = self.circulation_curve
+            try:  # center x, center y, radius
+                circle = np.array([*spec.get("center", (0.0, 0.0)), spec.get("radius", 1.0)],
+                                  dtype=np.float64)
+            except (TypeError, ValueError):
+                circle = np.array([np.nan])
+            if circle.shape != (3,) or not np.isfinite(circle).all():
+                raise ConfigError("[circulation] center must be two finite numbers "
+                                  "and radius a finite number")
         if self.probes is not None:
             pts = np.asarray(self.probes, dtype=np.float64)
             if pts.size == 0 or pts.size % self.dim or not np.isfinite(pts).all():

@@ -180,6 +180,24 @@ def _full_axis_phases(shift_axis: np.ndarray, n: int, scale: float) -> np.ndarra
     return np.concatenate([powers[:-1], np.conj(powers[:0:-1])], axis=0)
 
 
+def shift_mean_coeffs(coeffs: np.ndarray, shifts: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
+    """``mean_m coeffs[m] exp(-i k . c_m)``: the spectral coefficients of the
+    ensemble mean of the translates ``f_m(x - c_m)``, for per-realization
+    coefficients ``coeffs`` of shape ``(M, c) + spectral_shape``.
+
+    The phase of realization ``m`` is the outer product of its per-axis
+    phase ladders (the half-spectrum ladder on the last axis).
+    """
+    grid = ws.grid
+    n, d = grid.n, grid.dim
+    scale = _TWO_PI / grid.length
+    phase = _phase_ladder(shifts[:, -1], n // 2 + 1, scale).T  # (M, n/2 + 1)
+    for j in range(d - 2, -1, -1):
+        axis = _full_axis_phases(shifts[:, j], n, scale).T  # (M, n)
+        phase = axis.reshape(axis.shape + (1,) * (phase.ndim - 1)) * phase[:, None]
+    return np.einsum("mc...,m...->c...", coeffs, phase) / shifts.shape[0]
+
+
 def shift_mean_multiplier(shifts: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
     """Empirical characteristic function ``mean_m exp(-i k . c_m)`` on the
     spectral grid; multiplying a field's coefficients by it averages the

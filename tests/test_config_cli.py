@@ -286,6 +286,10 @@ realizations = 2
             "output.probes=",
             "output.probes=1.0, nan",
             "circulation.realizations=0",  # would compute no circulation
+            # non-finite curves used to fail at the first step's interpolation
+            "circulation.radius=nan",
+            "circulation.radius=inf",
+            "circulation.center=nan, 1",
         ],
     )
     def test_out_of_range_run_value_exit_1(self, tmp_path, capsys, override):
@@ -334,6 +338,17 @@ realizations = 2
         eff.write_text(re.sub(r"rel_l2_max = .*", f"rel_l2_max = {value}", eff.read_text()))
         assert main(["compare", str(tmp_path / "out")]) == 1
         assert "must be finite" in capsys.readouterr().err
+
+    def test_compare_norms_validated(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, BURGERS_CFG)
+        assert main(["run", str(p)]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(tmp_path / "out"), "--norms", "l9"]) == 1
+        err = capsys.readouterr().err
+        assert "l9" in err and "rel_l2" in err
+        assert main(["compare", str(tmp_path / "out"), "--norms", "rel_l2"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if "t=" in line]
+        assert rows and all(re.findall(r"(\w+)=", line) == ["t", "rel_l2"] for line in rows)
 
     def test_compare_run_against_its_own_field(self, tmp_path):
         # comparing the t=0 snapshot against the analytic initial state

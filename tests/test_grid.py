@@ -31,6 +31,13 @@ class TestPeriodicGrid:
         assert np.all(d >= -1.0) and np.all(d < 1.0)
         assert g.wrap_centered(np.array([0.3]))[0] == pytest.approx(0.3)
 
+    def test_wrap_centered_keeps_short_displacements_exactly(self):
+        # an inversion residual is already shorter than L/2; wrapping it must
+        # not round it to a multiple of ulp(L/2)
+        g = PeriodicGrid(2, 16, 2.0 * np.pi)
+        dx = np.array([1e-12, -3e-9, 0.4 * g.length])
+        assert g.wrap_centered(dx).tobytes() == dx.tobytes()
+
     def test_coordinates_layout(self):
         g = PeriodicGrid(2, 8, 8.0)
         c = g.coordinates()

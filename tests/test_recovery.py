@@ -18,6 +18,7 @@ from slns.recovery import (
     weber_velocity,
 )
 from slns.reference import random_band_limited, taylor_green_2d
+from slns.solver import SolverConfig, StochasticSolver
 from slns.spectral import curl_values, divergence_values, helmholtz_values, workspace
 from slns.wiener import WienerEnsemble
 
@@ -76,13 +77,16 @@ class TestWeberVelocity:
         )
 
     def test_per_realization_labels(self, grid2d):
-        # forcing accumulated on moving maps gives (M, d) + shape labels
+        # forcing accumulated on moving maps gives (M, d) + shape labels, on
+        # one shared core (one step) or one core per realization (two)
         u0 = taylor_green_2d(grid2d)
-        fe = noisy_flow(grid2d, 3, nu=0.05, dt=5e-3, drift=u0.values, steps=2)
         labels = np.stack([u0.values, 2 * u0.values, -u0.values])
-        out = weber_velocity(fe, labels)
-        singles = [stochastic_velocity(fe, labels[m], m) for m in range(3)]
-        assert np.max(np.abs(out - np.mean(singles, axis=0))) <= 1e-13
+        for steps, mode in ((1, "shared"), (2, "general")):
+            fe = noisy_flow(grid2d, 3, nu=0.05, dt=5e-3, drift=u0.values, steps=steps)
+            assert fe.mode == mode
+            out = weber_velocity(fe, labels)
+            singles = [stochastic_velocity(fe, labels[m], m) for m in range(3)]
+            assert np.max(np.abs(out - np.mean(singles, axis=0))) <= 1e-13
 
 
 class TestBurgersVelocity:
@@ -411,6 +415,34 @@ class TestRepresentationsAgree:
         self.assert_close(a.xi_general(), b.xi)
 
 
+class TestAveragingPaths:
+    """A window's mean is one phase sum over the core-frame integrands
+    (phase ladders); ``realization_field`` translates each integrand on its
+    own (``np.exp`` phases). Mid-window every realization has its own map."""
+
+    @pytest.mark.parametrize(
+        "kw, steps",
+        [
+            (dict(dim=2, n=32, realizations=8, initial="taylor_green_2d", dt=5e-3), 3),
+            (dict(dim=3, n=16, realizations=4, initial="abc_flow", dt=1e-2), 2),
+        ],
+    )
+    def test_mean_equals_mean_of_realizations(self, kw, steps):
+        solver = StochasticSolver(SolverConfig(reset_interval=4, t_end=0.1, seed=5, **kw))
+        for _ in range(steps):
+            solver.step()
+        flow = solver.flow
+        assert flow.mode == "general" and flow.shifts.any()
+        cases = [(weber_velocity, solver.labels_u, True, True)]
+        if flow.grid.dim == 2:
+            cases.append((transported_vorticity_2d, solver.labels_omega, False, False))
+        for recover, label, weber, project in cases:
+            mean = recover(flow, label)
+            singles = [realization_field(flow, label, m, weber, project) for m in range(flow.m)]
+            ref = np.mean(singles, axis=0)
+            assert np.max(np.abs(mean - ref)) <= 1e-12 * np.max(np.abs(ref)), recover.__name__
+
+
 class TestIntegrandReuse:
     def test_diagnostics_read_the_recovery_integrand(self, grid2d, monkeypatch):
         u0 = taylor_green_2d(grid2d)
@@ -418,7 +450,7 @@ class TestIntegrandReuse:
         assert fe.mode == "general"
         u = weber_velocity(fe, u0.values)
         calls = []
-        monkeypatch.setattr(fe, "alpha_general", lambda: calls.append(1))
+        monkeypatch.setattr(fe, "_require_beta", lambda: calls.append(1))  # a rebuild reads beta
         probes = np.array([[1.0, 2.0], [3.0, 4.0]])
         spread = probe_spread(fe, u0.values, probes, weber=True)
         singles = np.stack(

@@ -5,7 +5,9 @@ import pytest
 
 from conftest import fit_order, spline_builds
 import slns.flowmap
+import slns.recovery
 import slns.solver
+import slns.spectral
 from slns.config import compare_gates
 from slns.errors import CFLViolation, ConfigError, NonFiniteVelocity, NonInvertible
 from slns.flowmap import FlowEnsemble
@@ -201,12 +203,14 @@ class TestSolverInvariants:
         assert errs[0] < errs[1] < errs[2]
 
 
-def _count_calls(monkeypatch, owner, name):
-    calls = []
+def _count_calls(monkeypatch, owner, name, calls=None):
+    """The positional arguments of every call of ``owner.name`` from now
+    on, appended to ``calls`` (a new list by default)."""
+    calls = [] if calls is None else calls
     original = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -241,6 +245,20 @@ class TestWorkPerStep:
         # a d^2-component spline is the Newton fallback's grad xi
         assert [len(v) for v in built].count(4) == 0
         assert [sum(v is label for v in built) for label in labels] == [1, 1]
+
+    def test_window_translates_nothing_and_projects_only_means(self, monkeypatch):
+        # each recovery composes in the core frame, averages once in Fourier
+        # space and projects that one mean: 4 steps x 2 Picard passes
+        translated, projected = [], []
+        for module in (slns.flowmap, slns.recovery):
+            _count_calls(monkeypatch, module, "translate_batch", translated)
+        for module in (slns.spectral, slns.recovery):
+            _count_calls(monkeypatch, module, "project_coeffs", projected)
+        solver = StochasticSolver(tg_config(n=32, realizations=8, reset_interval=4))
+        for _ in range(4):
+            solver.step()
+        assert len(translated) == 0
+        assert [args[0].shape for args in projected] == [(2, 32, 17)] * 8
 
     def test_one_xi_evaluation_per_node_per_core(self, monkeypatch):
         # the Taylor start meets tol at every node of a shared core, so the
