@@ -49,7 +49,7 @@ def main():
             f"{abs(energy[i] - exact[i]) / e0:>10.2e}"
         )
 
-    ref = spectral_ns_run(taylor_green_2d(cfg.grid()), NU, 1e-3, T)[-1][1]
+    ref = spectral_ns_run(taylor_green_2d(cfg.grid()), NU, 1e-3, T)
     rel = (res.velocity - ref).l2_norm() / ref.l2_norm()
     print(f"\nfield vs pseudo-spectral reference: rel L2 = {rel:.3e}")
     print(f"max divergence over the run: {res.diagnostics.column('max_divergence').max():.2e}")

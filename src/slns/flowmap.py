@@ -15,10 +15,12 @@ the periodic core ``I + xi_m`` and translating:
 
 so inversion (a fold check, a start from the quadratic Taylor model of
 ``xi`` at each node, then fixed-point iteration with a damped Newton
-fallback) only ever sees the periodic core. Immediately after a
-label reset all realizations share one core (``xi_m`` identical for all
-``m``); the ensemble stays in that cheap shared representation until a
-subsequent drift evaluation makes the cores diverge.
+fallback) only ever sees the periodic core, and ``A_m`` is never formed:
+callers translate what they build on ``B_m`` by ``s_m`` with the spectral
+phases of :func:`~slns.spectral.shift_phases` (:func:`translate_batch`).
+Immediately after a label reset all realizations share one core (``xi_m``
+identical for all ``m``); the ensemble stays in that cheap shared
+representation until a subsequent drift evaluation makes the cores diverge.
 
 Two drift integrators are provided: the one-stage Euler-Maruyama update
 (``stages=1``) and a two-stage midpoint/Heun update of the noise-shifted
@@ -41,6 +43,7 @@ from .spectral import (
     gradient_values,
     laplacian_values,
     shift_mean_multiplier,
+    shift_phases,
     workspace,
 )
 
@@ -215,7 +218,8 @@ class FlowEnsemble:
     last recovery integrand ``J`` built on this ensemble's inverse cores and
     the label array it was built from (see ``recovery._integrand``). ``J``
     is in the core frame: realization ``m``'s integrand is ``J`` (or
-    ``J[m]``) translated by ``shifts[m]``. It is ``(c,) + shape`` when map
+    ``J[m]``) translated by ``shifts[m]``, and the ensemble stores no
+    translated map ``A_m``. It is ``(c,) + shape`` when map
     and labels are shared, else ``(M, c) + shape``.
     ``_label_splines`` maps the flag to a shared label array and its spline:
     one dict per label window, shared with the ensembles advanced from this.
@@ -347,17 +351,6 @@ class FlowEnsemble:
             raise RuntimeError("invert() must run before using the inverse map")
         return self.beta
 
-    def alpha_general(self) -> np.ndarray:
-        """Back-to-labels displacements ``A_m - I`` as ``(M, d) + shape``.
-
-        ``A_m(x) = B_m(x - s_m)``, realized by an exact spectral translation
-        of the periodic inverse core.
-        """
-        shape = (self.m, self.grid.dim) + self.grid.shape
-        beta = np.broadcast_to(self._require_beta(), shape)
-        translated = translate_batch(beta, self.shifts, workspace(self.grid))
-        return translated - self.shifts[(...,) + (None,) * self.grid.dim]
-
     # -- derived quantities --------------------------------------------------
 
     def grad_x_core(self) -> np.ndarray:
@@ -401,29 +394,11 @@ class FlowEnsemble:
         return float(np.max(np.sqrt(fro2 * cof_fro2) / np.abs(det)))
 
 
-def translate_batch(
-    values: np.ndarray, shifts: np.ndarray, ws: SpectralWorkspace
-) -> np.ndarray:
-    """``out[m] = values[m](x - shifts[m])`` by spectral phase shifts.
-
-    ``values``: ``(M, c) + shape`` (or ``(M,) + shape``); exact for
-    band-limited fields.
-    """
-    d = ws.grid.dim
-    squeeze = values.ndim == 1 + d
-    if squeeze:
-        values = values[:, None]
-    coeffs = ws.fft(values)
-    m = shifts.shape[0]
-    phase = np.ones((m,) + ws.spectral_shape, dtype=complex)
-    for j in range(d):
-        k1d = np.ravel(ws.k_full[j])
-        pj = np.exp(-1j * shifts[:, j][:, None] * k1d[None, :])
-        shape = [m] + [1] * d
-        shape[1 + j] = k1d.shape[0]
-        phase = phase * pj.reshape(shape)
-    out = ws.ifft(coeffs * phase[:, None])
-    return out[:, 0] if squeeze else out
+def translate_batch(values: np.ndarray, shifts: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
+    """``out[m] = values[m](x - shifts[m])`` for ``values`` ``(M, c) + shape``,
+    by the spectral phases of :func:`~slns.spectral.shift_phases`; exact for
+    band-limited fields."""
+    return ws.ifft(ws.fft(values) * shift_phases(shifts, ws)[:, None])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .grid import Field, PeriodicGrid
-from .spectral import leray_project, project_coeffs, workspace
+from .spectral import divergence_values, project_coeffs, workspace
 
 _TWO_PI = 2.0 * np.pi
 
@@ -168,44 +168,31 @@ def analytic_field(name: str, grid: PeriodicGrid, **params) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def spectral_ns_run(
-    u0: Field,
-    nu: float,
-    dt: float,
-    t_end: float,
-    forcing=None,
-    sample_times: list[float] | None = None,
-    dealias: bool = True,
-) -> list[tuple[float, Field]]:
+def spectral_ns_run(u0: Field, nu: float, dt: float, t_end: float, forcing=None) -> Field:
     """Reference incompressible solver on the same grid as ``u0``.
 
     Advances ``du/dt = -P[(u.grad)u] + nu Lap u + P f`` with the viscous
-    term integrated exactly per mode. Returns ``(time, Field)`` snapshots
-    at ``sample_times`` (default: final time only).
+    term integrated exactly per mode and returns the state at ``t_end``.
 
-    With ``dealias=True`` the 2/3-rule mask keeps the modes with
-    ``|k_j| < kcut`` on every axis, ``kcut = (2/3) (2 pi / L) (n // 2)``.
-    Its outermost retained layer, the "cutoff shell", is the set of kept
-    modes with ``kcut - 2 pi / L <= max_j |k_j| < kcut``. Warns when the
-    energy in that shell exceeds 1e-8 of the total, which means the
-    resolution is too coarse to trust. Only the final state is checked;
-    ``dealias=False`` skips the check.
+    The 2/3-rule mask keeps the modes with ``|k_j| < kcut`` on every axis,
+    ``kcut = (2/3) (2 pi / L) (n // 2)``. Its outermost retained layer, the
+    "cutoff shell", is the set of kept modes with
+    ``kcut - 2 pi / L <= max_j |k_j| < kcut``. Warns when the final energy
+    in that shell exceeds 1e-8 of the total, which means the resolution is
+    too coarse to trust.
     """
     grid = u0.grid
     d = grid.dim
     ws = workspace(grid)
-    div0 = np.max(np.abs(ws.ifft(sum(1j * ws.k_deriv[j] * ws.fft(u0.values)[j] for j in range(d)))))
-    if div0 > 1e-8 * max(u0.max_norm(), 1e-300):
+    if np.max(np.abs(divergence_values(u0.values, ws))) > 1e-8 * max(u0.max_norm(), 1e-300):
         raise ValueError("initial data for the reference solver must be divergence-free")
 
-    mask = np.ones(ws.spectral_shape, dtype=bool)
-    if dealias:
-        kcut = (2.0 / 3.0) * (_TWO_PI / grid.length) * (grid.n // 2)
-        kabs_max = np.abs(ws.k_full[0])
-        for j in range(1, d):
-            kabs_max = np.maximum(kabs_max, np.abs(ws.k_full[j]))
-        mask = kabs_max < kcut
-        shell = mask & (kabs_max >= kcut - _TWO_PI / grid.length)
+    kcut = (2.0 / 3.0) * (_TWO_PI / grid.length) * (grid.n // 2)
+    kabs_max = np.abs(ws.k_full[0])
+    for j in range(1, d):
+        kabs_max = np.maximum(kabs_max, np.abs(ws.k_full[j]))
+    mask = kabs_max < kcut
+    shell = mask & (kabs_max >= kcut - _TWO_PI / grid.length)
 
     def nonlinear(coeffs: np.ndarray, t: float) -> np.ndarray:
         u = ws.ifft(coeffs)
@@ -224,19 +211,7 @@ def spectral_ns_run(
     steps = int(round(t_end / dt))
     if abs(steps * dt - t_end) > 1e-9 * max(t_end, dt):
         raise ValueError("t_end must be an integer number of steps")
-    sample_times = [t_end] if sample_times is None else sorted(sample_times)
-    remaining = list(sample_times)
-    out: list[tuple[float, Field]] = []
-
-    coeffs = ws.fft(u0.values)
-    project_coeffs(coeffs, ws)
-
-    def maybe_sample(time: float) -> None:
-        while remaining and abs(remaining[0] - time) <= 1e-9 * dt:
-            remaining.pop(0)
-            out.append((time, Field(grid, ws.ifft(coeffs))))
-
-    maybe_sample(0.0)
+    coeffs = project_coeffs(ws.fft(u0.values), ws)
     for i in range(steps):
         t = i * dt
         k1 = nonlinear(coeffs, t)
@@ -246,20 +221,15 @@ def spectral_ns_run(
         coeffs = e_full * coeffs + (dt / 6.0) * (
             e_full * k1 + 2.0 * e_half * (k2 + k3) + k4
         )
-        maybe_sample((i + 1) * dt)
 
-    if dealias:
-        total = np.sum(np.abs(coeffs) ** 2)
-        shell_energy = np.sum(np.abs(coeffs[..., shell]) ** 2)
-        if total > 0 and shell_energy > 1e-8 * total:
-            warnings.warn(
-                "energy at the dealiasing cutoff exceeds 1e-8 of total; "
-                "increase resolution",
-                stacklevel=2,
-            )
-    if remaining:
-        raise ValueError(f"sample times {remaining} not hit by the step sequence")
-    return out
+    total = np.sum(np.abs(coeffs) ** 2)
+    shell_energy = np.sum(np.abs(coeffs[..., shell]) ** 2)
+    if total > 0 and shell_energy > 1e-8 * total:
+        warnings.warn(
+            "energy at the dealiasing cutoff exceeds 1e-8 of total; increase resolution",
+            stacklevel=2,
+        )
+    return Field(grid, ws.ifft(coeffs))
 
 
 def spectral_resample(f: Field, n_to: int) -> Field:
@@ -422,7 +392,6 @@ __all__ = [
     "analytic_field",
     "cole_hopf_burgers",
     "finite_difference_burgers",
-    "leray_project",
     "random_band_limited",
     "sine_mode",
     "spectral_ns_run",

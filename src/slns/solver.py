@@ -85,7 +85,9 @@ class SolverConfig:
     default, "linear" as the fast fallback). Every step runs exactly
     ``picard_iters`` Picard passes, which keeps runs bit-reproducible.
     ``substeps`` refines the Brownian paths so runs at coarser ``dt`` can
-    share noise with finer ones (common random numbers).
+    share noise with finer ones (common random numbers). ``probes`` is one
+    ``dim``-vector or a ``(dim, P)`` array whose columns are the P probe
+    points (``[output] probes`` lists points separated by ``;``).
     """
 
     equation: str = "navier_stokes"
@@ -165,9 +167,14 @@ class SolverConfig:
                 raise ConfigError("[circulation] center must be two finite numbers "
                                   "and radius a finite number")
         if self.probes is not None:
-            pts = np.asarray(self.probes, dtype=np.float64)
-            if pts.size == 0 or pts.size % self.dim or not np.isfinite(pts).all():
-                raise ConfigError(f"probes must be one or more finite {self.dim}-vectors")
+            try:
+                pts = np.asarray(self.probes, dtype=np.float64)
+            except (TypeError, ValueError):  # ragged or not numbers
+                pts = np.empty(0)
+            layout = pts.shape[:1] == (self.dim,) and pts.ndim <= 2 and 0 not in pts.shape
+            if not layout or not np.isfinite(pts).all():
+                raise ConfigError(f"probes must be one finite {self.dim}-vector or a "
+                                  f"({self.dim}, P) array whose columns are the P points")
 
     @property
     def num_steps(self) -> int:
@@ -193,7 +200,8 @@ class SolverConfig:
         return make_forcing(self.forcing, self)
 
     def default_probes(self) -> np.ndarray:
-        """Three fixed interior probe points (d, P)."""
+        """The probe points as ``(d, P)``: ``probes``, else three fixed
+        interior points."""
         if self.probes is not None:
             pts = np.asarray(self.probes, dtype=np.float64)
             return pts.reshape(self.dim, -1)
@@ -667,7 +675,7 @@ def oracle_solution(config: SolverConfig, t: float, spectral: bool = False) -> F
         return u0
     ref_dt = min(config.dt, 1e-2)
     steps = max(1, int(np.ceil(t / ref_dt - 1e-12)))
-    return spectral_ns_run(u0, config.nu, t / steps, t, forcing=config.forcing_fn())[-1][1]
+    return spectral_ns_run(u0, config.nu, t / steps, t, forcing=config.forcing_fn())
 
 
 def relative_l2_error(a: Field, b: Field) -> float:

@@ -5,6 +5,11 @@ ambiguous on an even grid), and the ``k = 0`` mode passes through the
 Leray projection untouched, so the spatial mean of a projected field is
 preserved. Real transforms (``rfftn``) are used throughout; batched inputs
 with leading axes are supported by every raw-array helper.
+
+Translating a field by a uniform shift ``c`` multiplies its coefficients by
+``exp(-i k . c)``. One builder, :func:`_ladders`, makes those phases from
+per-axis doubling ladders for every ensemble operation: the characteristic
+function, the per-realization phases and the window mean built on them.
 """
 
 from __future__ import annotations
@@ -180,55 +185,54 @@ def _full_axis_phases(shift_axis: np.ndarray, n: int, scale: float) -> np.ndarra
     return np.concatenate([powers[:-1], np.conj(powers[:0:-1])], axis=0)
 
 
-def shift_mean_coeffs(coeffs: np.ndarray, shifts: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    """``mean_m coeffs[m] exp(-i k . c_m)``: the spectral coefficients of the
-    ensemble mean of the translates ``f_m(x - c_m)``, for per-realization
-    coefficients ``coeffs`` of shape ``(M, c) + spectral_shape``.
-
-    The phase of realization ``m`` is the outer product of its per-axis
-    phase ladders (the half-spectrum ladder on the last axis).
-    """
+def _ladders(shifts: np.ndarray, ws: SpectralWorkspace) -> tuple[np.ndarray, np.ndarray]:
+    """Ladders ``rows`` ``(R, M)`` and ``cols`` ``(K, M)`` whose outer product
+    for realization ``m``, flattened and cut to the spectral size, is
+    ``exp(-i k . c_m)``. In 1D a harmonic splits as ``k = b q + r``, ``b`` a
+    power of two near ``sqrt(n/2)``: ``rows`` is the coarse ladder of stride
+    ``b``, ``cols`` the fine one (``r < b``), so ``O(sqrt(n))`` ladder rows
+    replace ``n/2 + 1`` and the doubling error grows with ``log2 b + log2 q``.
+    In 2D and 3D ``cols`` is the half-spectrum ladder of the last axis and
+    ``rows`` the (Khatri-Rao) product of the full-axis ladders of the others."""
     grid = ws.grid
     n, d = grid.n, grid.dim
     scale = _TWO_PI / grid.length
-    phase = _phase_ladder(shifts[:, -1], n // 2 + 1, scale).T  # (M, n/2 + 1)
-    for j in range(d - 2, -1, -1):
-        axis = _full_axis_phases(shifts[:, j], n, scale).T  # (M, n)
-        phase = axis.reshape(axis.shape + (1,) * (phase.ndim - 1)) * phase[:, None]
-    return np.einsum("mc...,m...->c...", coeffs, phase) / shifts.shape[0]
-
-
-def shift_mean_multiplier(shifts: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    """Empirical characteristic function ``mean_m exp(-i k . c_m)`` on the
-    spectral grid; multiplying a field's coefficients by it averages the
-    field's translates over the ensemble of uniform shifts ``c_m``.
-
-    Every dimension contracts over the realizations with one matrix
-    product ``rows @ cols.T / M``. In 1D each harmonic splits as
-    ``k = b q + r`` with ``b`` a power of two near ``sqrt(n/2)``: ``rows``
-    is the coarse ladder of stride ``b`` and ``cols`` the fine ladder
-    ``r = 0 .. b-1``, so ``O(sqrt(n))`` ladder rows replace ``n/2 + 1``, and
-    the doubling error grows with ``log2 b + log2 q``. In 2D and 3D ``cols``
-    is the half-spectrum ladder of the last axis and ``rows`` the
-    (Khatri-Rao) product of the full-axis ladders of the others.
-    """
-    grid = ws.grid
-    n, d = grid.n, grid.dim
-    scale = _TWO_PI / grid.length
-    m = shifts.shape[0]
     if d == 1:
         n2 = n // 2
         b = 1 << (n2.bit_length() // 2)
-        rows = _phase_ladder(shifts[:, 0], n2 // b + 1, b * scale)
-        cols = _phase_ladder(shifts[:, 0], b, scale)
-    else:
-        rows = _full_axis_phases(shifts[:, 0], n, scale)
-        for j in range(1, d - 1):
-            axis = _full_axis_phases(shifts[:, j], n, scale)
-            rows = (rows[:, None] * axis[None]).reshape(-1, m)
-        cols = _phase_ladder(shifts[:, -1], n // 2 + 1, scale)
-    chi = rows @ cols.T / m
-    return chi.ravel()[: n // 2 + 1] if d == 1 else chi.reshape(ws.spectral_shape)
+        return (_phase_ladder(shifts[:, 0], n2 // b + 1, b * scale),
+                _phase_ladder(shifts[:, 0], b, scale))
+    rows = _full_axis_phases(shifts[:, 0], n, scale)
+    for j in range(1, d - 1):
+        axis = _full_axis_phases(shifts[:, j], n, scale)
+        rows = (rows[:, None] * axis[None]).reshape(-1, shifts.shape[0])
+    return rows, _phase_ladder(shifts[:, -1], n // 2 + 1, scale)
+
+
+def shift_phases(shifts: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
+    """Per-realization phases ``exp(-i k . c_m)``, shape ``(M,) +
+    spectral_shape``: multiplying realization ``m``'s coefficients by its
+    phase translates the field by ``c_m``."""
+    rows, cols = _ladders(shifts, ws)
+    phases = (rows.T[:, :, None] * cols.T[:, None]).reshape(shifts.shape[0], -1)
+    return phases[:, : np.prod(ws.spectral_shape)].reshape((-1,) + ws.spectral_shape)
+
+
+def shift_mean_coeffs(coeffs: np.ndarray, shifts: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
+    """``mean_m coeffs[m] exp(-i k . c_m)``: the spectral coefficients of the
+    ensemble mean of the translates ``f_m(x - c_m)``, for per-realization
+    coefficients ``coeffs`` of shape ``(M, c) + spectral_shape``."""
+    return np.einsum("mc...,m...->c...", coeffs, shift_phases(shifts, ws)) / shifts.shape[0]
+
+
+def shift_mean_multiplier(shifts: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
+    """Empirical characteristic function ``mean_m exp(-i k . c_m)``, the
+    :func:`_ladders` contracted over the realizations as ``rows @ cols.T / M``;
+    multiplying a field's coefficients by it averages the field's
+    translates over the ensemble of uniform shifts ``c_m``."""
+    rows, cols = _ladders(shifts, ws)
+    chi = rows @ cols.T / shifts.shape[0]
+    return chi.ravel()[: np.prod(ws.spectral_shape)].reshape(ws.spectral_shape)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from slns.flowmap import translate_batch
 from slns.grid import Field, PeriodicGrid
 from slns.interp import FieldInterpolator
+from slns.spectral import workspace
 
 
 @pytest.fixture
@@ -48,6 +50,16 @@ def composition_residual(flow):
         res = grid.wrap_centered(pts + xi_interp.at(pts) - coords)
         worst = max(worst, float(np.max(np.abs(res))))
     return worst
+
+
+def alpha_general(flow):
+    """Back-to-labels displacements ``A_m - I`` of an inverted
+    ``FlowEnsemble`` as ``(M, d) + shape``: ``A_m(x) = B_m(x - s_m)``, the
+    inverse cores translated spectrally by the shifts, less the shifts."""
+    grid = flow.grid
+    beta = np.broadcast_to(flow.beta, (flow.m, grid.dim) + grid.shape)
+    translated = translate_batch(beta, flow.shifts, workspace(grid))
+    return translated - flow.shifts[(...,) + (None,) * grid.dim]
 
 
 def taylor_green_2d_vorticity(grid, amplitude=1.0):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import composition_residual, fit_order, spline_builds
+from conftest import alpha_general, composition_residual, fit_order, spline_builds
 from slns import flowmap
 from slns.errors import NonInvertible
 from slns.flowmap import FlowEnsemble, _newton_step, invert_core, spde_residual
@@ -24,7 +24,7 @@ class TestInvertCore:
         noise = np.array([[0.1, 0.2], [0.0, 0.0], [-0.3, 0.5]])
         fe2 = fe.advanced(np.zeros((2,) + grid2d.shape), 0.01, noise)
         fe2.invert()
-        alpha = fe2.alpha_general()
+        alpha = alpha_general(fe2)
         assert np.max(np.abs(alpha + noise[:, :, None, None])) <= 1e-14
 
     def test_1d_sine_map_vs_bisection(self):
@@ -67,7 +67,7 @@ class TestInvertCore:
         fe2 = fe.advanced(tg_drift(grid2d), 8e-3, None)
         fe2.invert()
         # A(X(a)) - a at the label grid, via interpolated alpha
-        alpha = fe2.alpha_general()[0]
+        alpha = alpha_general(fe2)[0]
         coords = grid2d.coordinates().reshape(2, -1)
         x_pts = coords + fe2.xi.reshape(2, -1)
         a_interp = FieldInterpolator(grid2d, alpha).at(x_pts)
@@ -91,7 +91,7 @@ class TestInvertCore:
         forced.invert()
         alpha_direct = forced.beta  # shifts are zero here: alpha == beta
         shifted.invert()
-        alpha_structured = shifted.alpha_general()[0]
+        alpha_structured = alpha_general(shifted)[0]
         assert np.max(np.abs(alpha_direct - alpha_structured)) <= 1e-10
 
     def test_non_invertible_raises(self):
@@ -422,7 +422,7 @@ class TestSPDEResidual:
         f2 = f1.advanced(zero, 0.01, None)
         f2.invert()
         res = spde_residual(
-            grid2d, f1.alpha_general(), f2.alpha_general(), zero, np.zeros((2, 2)), 0.0, 0.01
+            grid2d, alpha_general(f1), alpha_general(f2), zero, np.zeros((2, 2)), 0.0, 0.01
         )
         assert np.max(res) == 0.0
 
@@ -438,7 +438,7 @@ class TestSPDEResidual:
         f2 = f1.advanced(zero, 0.01, n2)
         f2.invert()
         res = spde_residual(
-            grid2d, f1.alpha_general(), f2.alpha_general(), zero, n2, nu, 0.01
+            grid2d, alpha_general(f1), alpha_general(f2), zero, n2, nu, 0.01
         )
         assert np.max(res) <= 1e-12
 
@@ -462,7 +462,7 @@ class TestSPDEResidual:
             nxt = cur.advanced(drift, dt, noise)
             nxt.invert()
             res = spde_residual(
-                grid2d, cur.alpha_general(), nxt.alpha_general(), drift, noise, nu, dt
+                grid2d, alpha_general(cur), alpha_general(nxt), drift, noise, nu, dt
             )
             means.append(res.mean())
         assert fit_order(1.0 / np.asarray(dts), means) >= 0.5

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import composition_residual, fit_order, taylor_green_2d_vorticity
+from conftest import alpha_general, composition_residual, fit_order, taylor_green_2d_vorticity
 from slns.flowmap import FlowEnsemble
 from slns.grid import Field, PeriodicGrid
 from slns.recovery import (
@@ -393,7 +393,7 @@ class TestRepresentationsAgree:
         grid = PeriodicGrid(dim, n, L)
         u0, shared, general = self.pair(grid, "cells")
         assert general.mode == "general"  # derived from the broadcast xi
-        self.assert_close(shared.alpha_general(), general.alpha_general())
+        self.assert_close(alpha_general(shared), alpha_general(general))
         g = shared.grad_x_core()
         self.assert_close(np.broadcast_to(g, (shared.m,) + g.shape), general.grad_x_core())
         det, det_general = shared._jacobian_cofactors()[2], general._jacobian_cofactors()[2]
@@ -416,9 +416,12 @@ class TestRepresentationsAgree:
 
 
 class TestAveragingPaths:
-    """A window's mean is one phase sum over the core-frame integrands
-    (phase ladders); ``realization_field`` translates each integrand on its
-    own (``np.exp`` phases). Mid-window every realization has its own map."""
+    """A window's mean is one phase sum over the core-frame integrands;
+    ``realization_field`` translates and projects each integrand on its own.
+    Both take their phases from ``spectral.shift_phases``, so this checks
+    the order of averaging and projection; ``test_spectral`` checks the
+    phases against direct ``np.exp``. Mid-window every realization has its
+    own map."""
 
     @pytest.mark.parametrize(
         "kw, steps",

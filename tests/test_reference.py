@@ -66,16 +66,15 @@ class TestAnalyticFields:
 class TestSpectralNS:
     def test_taylor_green_decay_exact(self, grid2d):
         u0 = taylor_green_2d(grid2d)
-        traj = spectral_ns_run(u0, nu=0.05, dt=0.01, t_end=1.0)
-        t, uf = traj[-1]
+        uf = spectral_ns_run(u0, nu=0.05, dt=0.01, t_end=1.0)
         exact = taylor_green_2d(grid2d, np.exp(-taylor_green_decay_rate(L, 0.05) * 1.0))
         assert (uf - exact).max_norm() <= 1e-8
 
     def test_inviscid_energy_conserved(self, grid2d):
         u0 = random_band_limited(grid2d, kmax=3, seed=2, divergence_free=True)
-        traj = spectral_ns_run(u0, nu=0.0, dt=2e-3, t_end=0.1)
+        uf = spectral_ns_run(u0, nu=0.0, dt=2e-3, t_end=0.1)
         e0 = 0.5 * u0.l2_norm() ** 2
-        e1 = 0.5 * traj[-1][1].l2_norm() ** 2
+        e1 = 0.5 * uf.l2_norm() ** 2
         assert abs(e1 - e0) <= 1e-8 * e0
 
     def test_manufactured_steady_forcing(self, grid2d):
@@ -90,8 +89,8 @@ class TestSpectralNS:
                 [np.cos(k * x) * np.sin(k * y), -np.sin(k * x) * np.cos(k * y)]
             )
 
-        traj = spectral_ns_run(u0, nu=nu, dt=0.01, t_end=1.0, forcing=forcing)
-        assert (traj[-1][1] - u0).max_norm() <= 1e-8
+        uf = spectral_ns_run(u0, nu=nu, dt=0.01, t_end=1.0, forcing=forcing)
+        assert (uf - u0).max_norm() <= 1e-8
 
     def test_self_convergence_order(self, grid2d):
         # measured against the halved-step solution on a nonlinear field
@@ -99,7 +98,7 @@ class TestSpectralNS:
         sols = []
         dts = [4e-2, 2e-2, 1e-2, 5e-3]
         for dt in dts:
-            sols.append(spectral_ns_run(u0, nu=0.01, dt=dt, t_end=0.2)[-1][1])
+            sols.append(spectral_ns_run(u0, nu=0.01, dt=dt, t_end=0.2))
         errs = [(sols[i] - sols[-1]).max_norm() for i in range(3)]
         assert fit_order(1.0 / np.asarray(dts[:3]), errs) >= 3.5
 
@@ -109,11 +108,6 @@ class TestSpectralNS:
         )
         with pytest.raises(ValueError):
             spectral_ns_run(bad, nu=0.1, dt=0.01, t_end=0.1)
-
-    def test_sample_times(self, grid2d):
-        u0 = taylor_green_2d(grid2d)
-        traj = spectral_ns_run(u0, nu=0.05, dt=0.01, t_end=0.1, sample_times=[0.0, 0.05, 0.1])
-        assert [t for t, _ in traj] == pytest.approx([0.0, 0.05, 0.1])
 
 
 class TestColeHopf:

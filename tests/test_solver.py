@@ -88,6 +88,16 @@ class TestConfigValidation:
         # three coordinates do not reshape to (2, P)
         with pytest.raises(ConfigError, match="probes"):
             tg_config(probes=[1.0, 2.0, 3.0])
+        # a list of points (P, 2) and a flat list of two points are not the
+        # (2, P) layout, which would read them as other points; nor is a
+        # ragged list
+        bad = ([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0], [3.0]])
+        for probes in bad:
+            with pytest.raises(ConfigError, match=r"\(2, P\)"):
+                tg_config(probes=probes)
+        assert tg_config(probes=[1.0, 2.0]).default_probes().shape == (2, 1)
+        pts = [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]]
+        assert np.array_equal(tg_config(probes=pts).default_probes(), pts)
 
     def test_divergent_initial_rejected(self):
         cfg = tg_config(initial="sine_mode", initial_params={"mode": 1})

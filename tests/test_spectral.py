@@ -14,6 +14,7 @@ from slns.spectral import (
     laplacian,
     leray_project,
     shift_mean_multiplier,
+    shift_phases,
     workspace,
 )
 
@@ -156,6 +157,30 @@ class TestTranslation:
         shifted = translate_batch(f.values[None], np.array([[0.4]]), workspace(grid1d))[0]
         x = grid1d.axis()
         assert np.max(np.abs(shifted[0] - np.sin(x - 0.4))) <= 1e-12
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 16), (3, 8)])
+    def test_shift_phases_match_direct_exp(self, dim, n):
+        # every axis sees shifts of 0, +-L/2 and 3.7 L, and every column is
+        # compared, negative and Nyquist harmonics included
+        grid = PeriodicGrid(dim, n, 2 * np.pi)
+        ws = workspace(grid)
+        base = grid.length * np.array([0.0, 0.5, -0.5, 3.7, 0.123])
+        shifts = np.stack([np.roll(base, j) for j in range(dim)], axis=1)
+        phase = sum(ws.k_full[j] * shifts[:, j].reshape((-1,) + (1,) * dim) for j in range(dim))
+        phases = shift_phases(shifts, ws)
+        assert phases.shape == (5,) + ws.spectral_shape
+        assert np.max(np.abs(phases - np.exp(-1j * phase))) <= 1e-13
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_whole_cell_translation_is_roll(self, dim, n):
+        # a translation by whole cells is exact for any grid data
+        grid = PeriodicGrid(dim, n, 2 * np.pi)
+        cells = np.array([[1, -3, 2], [n + 5, 0, -1], [-7, 4, 3]])[:, :dim]
+        values = np.random.default_rng(dim).normal(size=(3, 2) + grid.shape)
+        out = translate_batch(values, cells * grid.spacing, workspace(grid))
+        for m in range(3):
+            rolled = np.roll(values[m], tuple(cells[m]), axis=tuple(range(1, dim + 1)))
+            assert np.max(np.abs(out[m] - rolled)) <= 1e-13
 
     @pytest.mark.parametrize("dim,n", [(1, 64), (2, 64), (3, 16)])
     def test_mean_translates_matches_loop(self, dim, n):
