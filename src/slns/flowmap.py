@@ -96,9 +96,14 @@ def invert_core(
     order: int = 3,
     tol: float | None = None,
     max_iter: int = DEFAULT_MAX_NEWTON,
+    det_dev: np.ndarray | None = None,
 ) -> np.ndarray:
     """Invert ``Y = I + xi`` on the grid: returns the displacement ``beta``
     with ``Y(y + beta(y)) = y`` (mod L) at every node.
+
+    One forward transform of ``xi`` feeds everything below: the spectra of
+    ``grad xi`` and of the Hessian come back in one inverse transform, and
+    the splines of ``xi`` and ``grad xi`` are built from the spectra.
 
     The guess solves the node's quadratic Taylor model of ``xi`` (spectral
     ``grad xi`` and Hessian ``H``): from ``beta = -xi + grad xi . xi``, two
@@ -115,30 +120,44 @@ def invert_core(
 
     Raises :exc:`NonInvertible` if ``det(I + grad xi) <= 0`` at a node (the
     map folds and has no inverse) or a node misses ``tol`` after
-    ``max_iter`` updates.
+    ``max_iter`` updates. When ``det_dev`` (a one-element array) is given,
+    the fold check writes ``max |det(I + grad xi) - 1|`` into it.
     """
     d = grid.dim
     if tol is None:
         tol = DEFAULT_TOL_FACTOR * grid.length
     ws = workspace(grid)
     xi_hat = ws.fft(xi)
-    dxi_hat = [1j * k * xi_hat for k in ws.k_deriv]
-    grad_xi = np.stack([ws.ifft(c) for c in dxi_hat], axis=1)  # [i, j] = d_j xi_i
-    det_min = float(_cofactors(grad_xi + np.eye(d).reshape((d, d) + (1,) * d))[1].min())
+    # spectra of grad xi (component i d + j = d_j xi_i), then of the Hessian
+    # pairs j <= k (off-diagonal ones counted twice in H[b, b])
+    pairs = [(j, k) for j in range(d) for k in range(j, d)]
+    spec = np.empty((d * (d + len(pairs)),) + ws.spectral_shape, dtype=complex)
+    dxi_hat = spec[: d * d].reshape((d, d) + ws.spectral_shape)
+    for j in range(d):
+        dxi_hat[:, j] = 1j * ws.k_deriv[j] * xi_hat
+    hess_hat = spec[d * d :].reshape((len(pairs), d) + ws.spectral_shape)
+    for p, (j, k) in enumerate(pairs):
+        hess_hat[p] = 1j * ws.k_deriv[k] * dxi_hat[:, j]
+    fields = ws.ifft(spec)
+    grad_xi = fields[: d * d]
+    jac = grad_xi.reshape((d, d) + grid.shape) + np.eye(d).reshape((d, d) + (1,) * d)
+    det = _cofactors(jac)[1]
+    if det_dev is not None:
+        det_dev[...] = np.max(np.abs(det - 1.0))
+    det_min = float(det.min())
     if not det_min > 0.0:
         raise NonInvertible(
             f"map folds: det(I + grad xi) = {det_min:.3e} <= 0 at a grid node "
             "(reduce dt or the reset interval)"
         )
-    xi_interp = FieldInterpolator(grid, xi, order=order)
+    xi_interp = FieldInterpolator(grid, xi, order, spectrum=xi_hat)
     grad_interp = None
 
     x = grid.coordinates().reshape(d, -1)
     xi_n = xi.reshape(d, -1)
     grad_n = grad_xi.reshape(d, d, -1)
-    # Hessian pairs j <= k, off-diagonal ones counted twice in H[b, b]
-    hess = [((2.0 - (j == k)) * ws.ifft(1j * ws.k_deriv[k] * dxi_hat[j]).reshape(d, -1), j, k)
-            for j in range(d) for k in range(j, d)]
+    hess = [((2.0 - (j == k)) * h.reshape(d, -1), j, k)
+            for h, (j, k) in zip(fields[d * d :].reshape((len(pairs), d) + grid.shape), pairs)]
     b = -xi_n + sum(grad_n[:, j] * xi_n[j] for j in range(d))
     for _ in range(2):
         quad = sum(h * (b[j] * b[k]) for h, j, k in hess)
@@ -173,9 +192,7 @@ def invert_core(
             if stalled.any():
                 trial[:, stalled] = a_act[:, stalled]
                 r_trial[:, stalled] = r_act[:, stalled]
-                grad_interp = FieldInterpolator(
-                    grid, grad_xi.reshape((d * d,) + grid.shape), order=order
-                )
+                grad_interp = FieldInterpolator(grid, grad_xi, order, spectrum=spec[: d * d])
         else:
             taken |= active
             jac = grad_interp.at(a_act).reshape(d, d, -1) + np.eye(d)[:, :, None]
@@ -223,6 +240,8 @@ class FlowEnsemble:
     and labels are shared, else ``(M, c) + shape``.
     ``_label_splines`` maps the flag to a shared label array and its spline:
     one dict per label window, shared with the ensembles advanced from this.
+    ``_det_dev`` is ``max |det(grad X) - 1|`` as the last :meth:`invert`
+    found it in its fold checks (None until this ensemble is inverted).
     """
 
     def __init__(
@@ -248,6 +267,7 @@ class FlowEnsemble:
         self.chi: np.ndarray | None = None
         self._integrands: dict = {}
         self._label_splines: dict = {}
+        self._det_dev: float | None = None
 
     # -- representation helpers ------------------------------------------
 
@@ -256,6 +276,7 @@ class FlowEnsemble:
         new.beta = None
         new.chi = None
         new._integrands = {}
+        new._det_dev = None
         return new
 
     def reset(self) -> None:
@@ -268,6 +289,7 @@ class FlowEnsemble:
         self.chi = None
         self._integrands = {}
         self._label_splines = {}
+        self._det_dev = None
 
     @property
     def mode(self) -> str:
@@ -334,17 +356,23 @@ class FlowEnsemble:
     def invert(self) -> None:
         """Compute back-to-labels displacements by :func:`invert_core` on
         the periodic core of each realization (the one core when shared).
-        Raises :exc:`NonInvertible` if a core folds or its inversion stalls."""
+        Raises :exc:`NonInvertible` if a core folds or its inversion stalls.
+        Keeps the largest ``|det - 1|`` of the cores' fold checks for
+        :meth:`max_det_deviation`."""
         self._integrands = {}
         d = self.grid.dim
         cores = self.xi.reshape((-1, d) + self.grid.shape)
         beta = np.empty_like(cores)
+        det_dev = np.empty(len(cores))
 
         def _one(i: int) -> None:
-            beta[i] = invert_core(self.grid, cores[i], self.order, self.tol, self.max_newton)
+            beta[i] = invert_core(
+                self.grid, cores[i], self.order, self.tol, self.max_newton, det_dev[i : i + 1]
+            )
 
         thread_map(_one, len(cores), self.workers)
         self.beta = beta.reshape(self.xi.shape)
+        self._det_dev = float(det_dev.max())
 
     def _require_beta(self) -> np.ndarray:
         if self.beta is None:
@@ -379,7 +407,11 @@ class FlowEnsemble:
 
     def max_det_deviation(self) -> float:
         """``max |det(grad X) - 1|`` over grid and realizations, without
-        materializing per-realization copies in shared mode."""
+        materializing per-realization copies in shared mode. Read from the
+        last :meth:`invert` when there was one, else formed from the
+        cofactor table (the same formula on the same spectral gradient)."""
+        if self._det_dev is not None:
+            return self._det_dev
         det = self._jacobian_cofactors()[2]
         return float(np.max(np.abs(det - 1.0)))
 

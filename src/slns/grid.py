@@ -17,6 +17,9 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+_coordinates: dict[PeriodicGrid, np.ndarray] = {}
+
+
 @dataclass(frozen=True)
 class PeriodicGrid:
     """Uniform grid on ``[0, length)^dim`` with ``n`` points per dimension.
@@ -60,9 +63,14 @@ class PeriodicGrid:
         return np.arange(self.n) * self.spacing
 
     def coordinates(self) -> np.ndarray:
-        """Node coordinates, shape ``(dim,) + shape``."""
-        axes = np.meshgrid(*([self.axis()] * self.dim), indexing="ij")
-        return np.stack(axes)
+        """Node coordinates, shape ``(dim,) + shape``: one read-only array
+        per grid, built on first use and shared by every caller."""
+        coords = _coordinates.get(self)
+        if coords is None:
+            coords = np.stack(np.meshgrid(*([self.axis()] * self.dim), indexing="ij"))
+            coords.flags.writeable = False
+            _coordinates[self] = coords
+        return coords
 
     def wrap_centered(self, dx: np.ndarray) -> np.ndarray:
         """Map displacements into ``[-length/2, length/2)`` by subtracting

@@ -5,6 +5,10 @@ nodes, fourth-order between them); a tri-linear fallback is available for
 speed and a quintic upgrade for studies where composition error must sit
 far below the time discretization. Compositions like ``u0(A(x))`` route
 through here, so this is the hot path of the whole solver.
+
+On a periodic grid the spline interpolation condition is a circulant
+system, so the B-spline coefficients are one spectral division of the
+samples by the sampled B-spline symbol (see :func:`_inverse_symbol`).
 """
 
 from __future__ import annotations
@@ -13,33 +17,75 @@ import numpy as np
 from scipy import ndimage
 
 from .grid import PeriodicGrid
+from .spectral import SpectralWorkspace, workspace
 from .utils import thread_map
 
 _MODE = "grid-wrap"
+
+_inverse_symbols: dict[tuple[PeriodicGrid, int], np.ndarray] = {}
+
+
+def _inverse_symbol(ws: SpectralWorkspace, order: int) -> np.ndarray:
+    """``1 / B_hat`` over the half spectrum, cached per grid and order.
+
+    ``B_hat = prod_j b(theta_j)``, ``theta_j = k_j h``, is the symbol of the
+    B-spline sampled at the nodes: ``b = (4 + 2 cos theta) / 6`` (cubic)
+    or ``(66 + 52 cos theta + 2 cos 2 theta) / 120`` (quintic). It is
+    bounded below by ``1/3`` and ``2/15``, so the division is well posed.
+    """
+    key = (ws.grid, order)
+    inv = _inverse_symbols.get(key)
+    if inv is None:
+        symbol = 1.0
+        for k in ws.k_full:
+            theta = k * ws.grid.spacing
+            if order == 3:
+                b = (4.0 + 2.0 * np.cos(theta)) / 6.0
+            else:
+                b = (66.0 + 52.0 * np.cos(theta) + 2.0 * np.cos(2.0 * theta)) / 120.0
+            symbol = symbol * b
+        inv = _inverse_symbols[key] = 1.0 / symbol
+    return inv
 
 
 class FieldInterpolator:
     """Evaluates one multi-component grid field at arbitrary points.
 
-    Spline coefficients are prefiltered once at construction; repeated
-    point evaluations then cost a single ``map_coordinates`` pass per
-    component.
+    ``values`` is ``(...,) + grid.shape``; its leading axes are flattened
+    into components. The B-spline coefficients are computed once at
+    construction, by one spectral division (``spectrum`` may pass the
+    values' ``rfftn`` when the caller already holds it); repeated point
+    evaluations then cost a single ``map_coordinates`` pass per component.
     """
 
-    def __init__(self, grid: PeriodicGrid, values: np.ndarray, order: int = 3):
+    def __init__(
+        self,
+        grid: PeriodicGrid,
+        values: np.ndarray,
+        order: int = 3,
+        spectrum: np.ndarray | None = None,
+    ):
         if order not in (1, 3, 5):
             raise ValueError("interpolation order must be 1 (linear), 3 (cubic) or 5 (quintic)")
         values = np.asarray(values, dtype=np.float64)
-        if values.ndim == grid.dim:
-            values = values[np.newaxis]
+        d = grid.dim
+        if values.shape[-d:] != grid.shape:
+            raise ValueError(f"values shape {values.shape} does not end in grid shape {grid.shape}")
         self.grid = grid
         self.order = order
-        if order == 1:
-            self._coeffs = values
-        else:
-            self._coeffs = np.stack(
-                [ndimage.spline_filter(c, order=order, mode=_MODE) for c in values]
+        ws = workspace(grid)
+        if spectrum is not None and spectrum.shape != values.shape[:-d] + ws.spectral_shape:
+            raise ValueError(
+                f"spectrum shape {spectrum.shape} does not match values shape {values.shape} "
+                f"(spectral shape {ws.spectral_shape})"
             )
+        if order == 1:
+            coeffs = values
+        else:
+            if spectrum is None:
+                spectrum = ws.fft(values)
+            coeffs = ws.ifft(spectrum * _inverse_symbol(ws, order))
+        self._coeffs = coeffs.reshape((-1,) + grid.shape)
 
     def at(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at physical coordinates ``points`` of shape ``(d, ...)``;

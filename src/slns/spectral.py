@@ -67,8 +67,8 @@ class SpectralWorkspace:
     def fft(self, values: np.ndarray) -> np.ndarray:
         return np.fft.rfftn(values, axes=self.spatial_axes)
 
-    def ifft(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(coeffs, s=self.grid.shape, axes=self.spatial_axes)
+    def ifft(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.fft.irfftn(coeffs, s=self.grid.shape, axes=self.spatial_axes, out=out)
 
 
 _workspaces: dict[PeriodicGrid, SpectralWorkspace] = {}
@@ -92,8 +92,10 @@ def gradient_values(values: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
     the derivative axis is inserted just before the spatial axes."""
     d = ws.grid.dim
     coeffs = ws.fft(values)
-    outs = [ws.ifft(1j * ws.k_deriv[j] * coeffs) for j in range(d)]
-    return np.stack(outs, axis=-d - 1)
+    out = np.empty(values.shape[:-d] + (d,) + values.shape[-d:])
+    for j in range(d):
+        ws.ifft(1j * ws.k_deriv[j] * coeffs, out=_comp(out, j, d))
+    return out
 
 
 def _comp(arr: np.ndarray, i: int, d: int) -> np.ndarray:
@@ -156,16 +158,18 @@ def curl_values(values: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
     return np.stack([c0, c1, c2], axis=-d - 1)
 
 
-def _phase_ladder(shift_axis: np.ndarray, count: int, scale: float) -> np.ndarray:
+def _phase_ladder(
+    shift_axis: np.ndarray, count: int, scale: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """``exp(-i k scale c)`` for harmonics ``k = 0 .. count - 1``, shape
-    ``(count, M)``.
+    ``(count, M)``, written into ``out`` when given.
 
     Built from one phase per realization by doubling: rows ``0 .. L-1``
     times harmonic ``L`` give rows ``L .. 2L-1``. That is
     ``log2(count)`` contiguous vectorized products, and the rounding error
     grows with the number of doublings rather than with the harmonic.
     """
-    powers = np.empty((count, shift_axis.shape[0]), dtype=complex)
+    powers = np.empty((count, shift_axis.shape[0]), dtype=complex) if out is None else out
     powers[0] = 1.0
     phase = scale * shift_axis
     powers[1].real = np.cos(phase)  # exp(-i phase); a complex exp costs about twice as much
@@ -180,9 +184,16 @@ def _phase_ladder(shift_axis: np.ndarray, count: int, scale: float) -> np.ndarra
 
 def _full_axis_phases(shift_axis: np.ndarray, n: int, scale: float) -> np.ndarray:
     """Phase ladder over a full FFT axis, harmonics ``0 .. n/2 - 1`` then
-    ``-n/2 .. -1`` (the negative ones as conjugates), shape ``(n, M)``."""
-    powers = _phase_ladder(shift_axis, n // 2 + 1, scale)
-    return np.concatenate([powers[:-1], np.conj(powers[:0:-1])], axis=0)
+    ``-n/2 .. -1`` (the negative ones as conjugates), shape ``(n, M)``.
+    Built in place: the ladder fills rows ``0 .. n/2``, then rows above
+    ``n/2`` take the conjugates of rows ``n/2 - 1 .. 1`` and row ``n/2``
+    (harmonic ``-n/2``) its own conjugate."""
+    h = n // 2
+    powers = np.empty((n, shift_axis.shape[0]), dtype=complex)
+    _phase_ladder(shift_axis, h + 1, scale, out=powers[: h + 1])
+    np.conj(powers[h - 1 : 0 : -1], out=powers[h + 1 :])
+    np.conj(powers[h], out=powers[h])
+    return powers
 
 
 def _ladders(shifts: np.ndarray, ws: SpectralWorkspace) -> tuple[np.ndarray, np.ndarray]:

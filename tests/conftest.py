@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from slns.flowmap import translate_batch
 from slns.grid import Field, PeriodicGrid
@@ -28,12 +29,19 @@ def spline_builds(monkeypatch):
     built = []
     original = FieldInterpolator.__init__
 
-    def counted(self, grid, values, order=3):
+    def counted(self, grid, values, order=3, spectrum=None):
         built.append(values)
-        original(self, grid, values, order)
+        original(self, grid, values, order, spectrum=spectrum)
 
     monkeypatch.setattr(FieldInterpolator, "__init__", counted)
     return built
+
+
+def spline_filter_coeffs(values, order):
+    """B-spline coefficients of each component of ``values`` by scipy's
+    periodic prefilter, the reference for the spectral division in
+    ``FieldInterpolator``."""
+    return np.stack([ndimage.spline_filter(c, order=order, mode="grid-wrap") for c in values])
 
 
 def composition_residual(flow):

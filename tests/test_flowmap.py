@@ -7,7 +7,7 @@ from slns.errors import NonInvertible
 from slns.flowmap import FlowEnsemble, _newton_step, invert_core, spde_residual
 from slns.grid import PeriodicGrid
 from slns.interp import FieldInterpolator
-from slns.reference import taylor_green_2d
+from slns.reference import random_band_limited, taylor_green_2d
 from slns.solver import SolverConfig, StochasticSolver
 from slns.wiener import WienerEnsemble
 
@@ -308,6 +308,40 @@ class TestAdvance:
         order = fit_order(1.0 / np.asarray(dts), errs)
         assert order >= 1.8  # per-step defect is O(dt^2)
         assert errs[0] <= 1.0 * dts[0] ** 2  # |u . grad u| / 2 sized constant
+
+
+class TestDetFromInversion:
+    """``max_det_deviation`` as the inversion's fold checks leave it, against
+    the cofactor formula on the spectral gradient of the whole ``xi``."""
+
+    @staticmethod
+    def from_scratch(fe):
+        return float(np.max(np.abs(fe._jacobian_cofactors()[2] - 1.0)))
+
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 16)])
+    def test_stored_value_is_the_cofactor_value(self, monkeypatch, dim, n):
+        grid = PeriodicGrid(dim, n, L)
+        drift = random_band_limited(grid, kmax=3, seed=dim, components=dim).values
+        noise = 0.1 * np.random.default_rng(dim).standard_normal((4, dim))
+        shared = FlowEnsemble(grid, 4).advanced(drift, 0.05, noise)
+        general = shared.advanced(drift, 0.05, noise)
+        for fe, mode in ((shared, "shared"), (general, "general")):
+            assert fe.mode == mode
+            expected = self.from_scratch(fe)
+            fe.invert()
+            with monkeypatch.context() as m:
+                m.setattr(FlowEnsemble, "grad_x_core", None)  # no gradient is formed
+                assert fe.max_det_deviation() == expected > 0.0
+
+    def test_no_value_outlives_its_maps(self, grid2d):
+        drift = random_band_limited(grid2d, kmax=3, seed=1, components=2).values
+        fe = FlowEnsemble(grid2d, 2).advanced(drift, 0.05, None)
+        fe.invert()
+        inverted = fe.max_det_deviation()
+        nxt = fe.advanced(drift, 0.05, None)
+        assert nxt.max_det_deviation() == self.from_scratch(nxt) != inverted
+        fe.reset()
+        assert fe.max_det_deviation() == 0.0
 
 
 class TestJacobian:

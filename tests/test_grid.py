@@ -45,6 +45,12 @@ class TestPeriodicGrid:
         assert c[0, 3, 0] == pytest.approx(3.0)
         assert c[1, 0, 5] == pytest.approx(5.0)
 
+    def test_coordinates_shared_and_read_only(self):
+        c = PeriodicGrid(2, 8, 8.0).coordinates()
+        assert PeriodicGrid(2, 8, 8.0).coordinates() is c
+        with pytest.raises(ValueError, match="read-only"):
+            c[0, 0, 0] = 1.0
+
 
 class TestField:
     def test_scalar_promotion_and_shapes(self, grid2d):

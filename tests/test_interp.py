@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import fit_order
+from conftest import fit_order, spline_filter_coeffs
 from slns.grid import Field, PeriodicGrid
 from slns.interp import FieldInterpolator, interpolate_batch
+from slns.spectral import workspace
 
 # one-time measurement at N=64 gave max error 2.42e-7 for sin at midpoints,
 # i.e. C = err * N^4 ~ 4.1; frozen with a 2x margin
@@ -62,6 +63,31 @@ class TestCubicSpline:
         # second order: h^2/8 * |f''|
         assert err <= 0.2 * grid1d.spacing**2
         assert err >= 0.01 * grid1d.spacing**2  # it is genuinely linear, not cubic
+
+
+class TestCoefficients:
+    @pytest.mark.parametrize("order", [3, 5])
+    @pytest.mark.parametrize("dim, n", [(1, 256), (2, 64), (3, 16)])
+    def test_spectral_division_matches_spline_filter(self, dim, n, order):
+        grid = PeriodicGrid(dim, n, 2 * np.pi)
+        vals = np.random.default_rng(dim).standard_normal((2,) + grid.shape)
+        ref = spline_filter_coeffs(vals, order)
+        coeffs = FieldInterpolator(grid, vals, order)._coeffs
+        assert np.max(np.abs(coeffs - ref)) <= 1e-12 * np.max(np.abs(vals))
+        spectrum = workspace(grid).fft(vals)
+        given = FieldInterpolator(grid, vals, order, spectrum=spectrum)._coeffs
+        assert np.array_equal(given, coeffs)
+
+    @pytest.mark.parametrize("shape", [(2, 32, 32), (64, 64, 2), (64,)])
+    def test_rejects_values_on_another_grid(self, grid2d, shape):
+        with pytest.raises(ValueError, match=r"\(64, 64\)"):
+            FieldInterpolator(grid2d, np.zeros(shape))
+
+    def test_rejects_mismatched_spectrum(self, grid2d):
+        vals = np.zeros((2,) + grid2d.shape)
+        for spectrum in (np.zeros((2, 64, 64), complex), np.zeros((1, 64, 33), complex)):
+            with pytest.raises(ValueError, match="spectrum shape"):
+                FieldInterpolator(grid2d, vals, spectrum=spectrum)
 
 
 class TestBatch:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,18 @@ class TestShiftMeanMultiplier:
         shifts = np.random.default_rng(0).normal(0.0, 0.3, (64, 1))
         shift_mean_multiplier(shifts, ws)
         assert 0 < sum(rows) <= 2 * int(np.ceil(np.sqrt(129))) + 2
+
+    def test_2d_peak_allocation_is_the_ladders(self):
+        # the (n, M) full-axis ladder is written in place, so one call holds
+        # little beyond its two ladders; tracemalloc sees numpy's buffers
+        n, m = 64, 1024
+        ws = workspace(PeriodicGrid(2, n, 2 * np.pi))
+        shifts = np.random.default_rng(0).normal(0.0, 1.0, (m, 2))
+        shift_mean_multiplier(shifts, ws)  # warm-up
+        tracemalloc.start()
+        try:
+            shift_mean_multiplier(shifts, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * (n + n // 2 + 1) * m * 16
