@@ -48,6 +48,7 @@ linf_max = 0.05
 from __future__ import annotations
 
 import configparser
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -55,26 +56,12 @@ import numpy as np
 from .errors import ConfigError
 from .solver import SolverConfig
 
+# owned by other sections; every other scalar field is a [run] key, typed by its default
+_OTHER_SECTIONS = ("initial", "snapshot_interval", "circulation_realizations")
 _RUN_KEYS = {
-    "equation": str,
-    "dim": int,
-    "n": int,
-    "length": float,
-    "nu": float,
-    "alpha": float,
-    "dt": float,
-    "t_end": float,
-    "realizations": int,
-    "reset_interval": int,
-    "picard_iters": int,
-    "seed": int,
-    "backend": str,
-    "interpolation": str,
-    "cfl_max": float,
-    "inversion_tol_factor": float,
-    "newton_max_iter": int,
-    "workers": int,
-    "substeps": int,
+    f.name: type(f.default)
+    for f in dataclasses.fields(SolverConfig)
+    if isinstance(f.default, (int, float, str)) and f.name not in _OTHER_SECTIONS
 }
 # [compare] gate -> the column of compare_<oracle>.csv it bounds
 COMPARE_GATES = {"l2_max": "l2", "rel_l2_max": "rel_l2", "linf_max": "linf"}

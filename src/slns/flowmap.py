@@ -240,8 +240,9 @@ class FlowEnsemble:
     and labels are shared, else ``(M, c) + shape``.
     ``_label_splines`` maps the flag to a shared label array and its spline:
     one dict per label window, shared with the ensembles advanced from this.
-    ``_det_dev`` is ``max |det(grad X) - 1|`` as the last :meth:`invert`
-    found it in its fold checks (None until this ensemble is inverted).
+    ``_det_dev`` is ``max |det(grad X) - 1|``; like ``beta`` it is 0 at the
+    identity, None on an ensemble not yet inverted, and set by
+    :meth:`invert` from its fold checks.
     """
 
     def __init__(
@@ -267,7 +268,7 @@ class FlowEnsemble:
         self.chi: np.ndarray | None = None
         self._integrands: dict = {}
         self._label_splines: dict = {}
-        self._det_dev: float | None = None
+        self._det_dev: float | None = 0.0
 
     # -- representation helpers ------------------------------------------
 
@@ -289,7 +290,7 @@ class FlowEnsemble:
         self.chi = None
         self._integrands = {}
         self._label_splines = {}
-        self._det_dev = None
+        self._det_dev = 0.0
 
     @property
     def mode(self) -> str:
@@ -406,14 +407,10 @@ class FlowEnsemble:
         return (jac,) + _cofactors(jac)
 
     def max_det_deviation(self) -> float:
-        """``max |det(grad X) - 1|`` over grid and realizations, without
-        materializing per-realization copies in shared mode. Read from the
-        last :meth:`invert` when there was one, else formed from the
-        cofactor table (the same formula on the same spectral gradient)."""
-        if self._det_dev is not None:
-            return self._det_dev
-        det = self._jacobian_cofactors()[2]
-        return float(np.max(np.abs(det - 1.0)))
+        """``max |det(grad X) - 1|`` over grid and realizations, as the
+        fold checks of the last :meth:`invert` found it (0 at the identity)."""
+        self._require_beta()
+        return self._det_dev
 
     def max_condition_estimate(self) -> float:
         """Frobenius condition number ``||J||_F ||J^{-1}||_F`` of the

@@ -81,14 +81,6 @@ class PeriodicGrid:
         """
         return dx - self.length * np.floor(dx / self.length + 0.5)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PeriodicGrid):
-            return NotImplemented
-        return (self.dim, self.n) == (other.dim, other.n) and self.length == other.length
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.n, self.length))
-
 
 class Field:
     """Real-valued field sampled on a :class:`PeriodicGrid`.

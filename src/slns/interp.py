@@ -1,10 +1,10 @@
 """Periodic interpolation of grid fields at arbitrary points.
 
 Default scheme is the periodic interpolating cubic spline (exact at the
-nodes, fourth-order between them); a tri-linear fallback is available for
-speed and a quintic upgrade for studies where composition error must sit
-far below the time discretization. Compositions like ``u0(A(x))`` route
-through here, so this is the hot path of the whole solver.
+nodes, fourth-order between them); a quintic upgrade serves studies where
+composition error must sit far below the time discretization.
+Compositions like ``u0(A(x))`` route through here, so this is the hot
+path of the whole solver.
 
 On a periodic grid the spline interpolation condition is a circulant
 system, so the B-spline coefficients are one spectral division of the
@@ -18,7 +18,6 @@ from scipy import ndimage
 
 from .grid import PeriodicGrid
 from .spectral import SpectralWorkspace, workspace
-from .utils import thread_map
 
 _MODE = "grid-wrap"
 
@@ -65,8 +64,8 @@ class FieldInterpolator:
         order: int = 3,
         spectrum: np.ndarray | None = None,
     ):
-        if order not in (1, 3, 5):
-            raise ValueError("interpolation order must be 1 (linear), 3 (cubic) or 5 (quintic)")
+        if order not in (3, 5):
+            raise ValueError("interpolation order must be 3 (cubic) or 5 (quintic)")
         values = np.asarray(values, dtype=np.float64)
         d = grid.dim
         if values.shape[-d:] != grid.shape:
@@ -79,12 +78,9 @@ class FieldInterpolator:
                 f"spectrum shape {spectrum.shape} does not match values shape {values.shape} "
                 f"(spectral shape {ws.spectral_shape})"
             )
-        if order == 1:
-            coeffs = values
-        else:
-            if spectrum is None:
-                spectrum = ws.fft(values)
-            coeffs = ws.ifft(spectrum * _inverse_symbol(ws, order))
+        if spectrum is None:
+            spectrum = ws.fft(values)
+        coeffs = ws.ifft(spectrum * _inverse_symbol(ws, order))
         self._coeffs = coeffs.reshape((-1,) + grid.shape)
 
     def at(self, points: np.ndarray) -> np.ndarray:
@@ -110,7 +106,6 @@ def interpolate_batch(
     values: np.ndarray,
     points: np.ndarray,
     order: int = 3,
-    workers: int = 1,
 ) -> np.ndarray:
     """Per-realization interpolation: ``values`` is ``(M, c, spatial)``,
     ``points`` is ``(M, d, ...)``; realization ``m`` of the field is
@@ -119,9 +114,6 @@ def interpolate_batch(
     if points.shape[0] != m:
         raise ValueError("values and points disagree on realization count")
     out = np.empty((m, values.shape[1]) + points.shape[2:])
-
-    def _one(i: int) -> None:
+    for i in range(m):
         out[i] = FieldInterpolator(grid, values[i], order=order).at(points[i])
-
-    thread_map(_one, m, workers)
     return out

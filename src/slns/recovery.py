@@ -79,9 +79,7 @@ def _integrand(flow: FlowEnsemble, label_values: np.ndarray, weber: bool) -> np.
     else:
         lead = (flow.m,)
         pts = np.broadcast_to(pts, lead + pts.shape[-2:])
-        vals = interpolate_batch(
-            grid, label_values, pts, order=flow.order, workers=flow.workers
-        )
+        vals = interpolate_batch(grid, label_values, pts, order=flow.order)
     vals = vals.reshape(lead + (c,) + grid.shape)
     if weber:
         grad = gradient_values(beta, workspace(grid))  # [.., j, i] = d_i beta_j
@@ -144,7 +142,7 @@ def probe_spread(
         pts = probes[:, None, :] - flow.shifts.T[:, :, None]  # (d, M, P)
         return np.moveaxis(FieldInterpolator(grid, vals, order=flow.order).at(pts), 0, 1)
     pts = probes[None] - flow.shifts[:, :, None]  # (M, d, P)
-    return interpolate_batch(grid, vals, pts, order=flow.order, workers=flow.workers)
+    return interpolate_batch(grid, vals, pts, order=flow.order)
 
 
 # ---------------------------------------------------------------------------

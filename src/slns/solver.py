@@ -61,6 +61,7 @@ from .wiener import WienerEnsemble
 
 EQUATIONS = ("navier_stokes", "burgers", "euler", "lans_alpha")
 BACKENDS = ("direct_sde", "translated_flow")
+INTERPOLATIONS = {"cubic": 3, "quintic": 5}  # name -> spline order
 
 DIAG_COLUMNS = (
     "step",
@@ -81,8 +82,9 @@ CIRCULATION_COLUMNS = ("time", "realization", "gamma_initial", "gamma_transporte
 class SolverConfig:
     """Full description of one run; every field has a validated default.
 
-    ``interpolation`` selects the composition scheme ("cubic" splines by
-    default, "linear" as the fast fallback). Every step runs exactly
+    ``interpolation`` selects the composition spline ("cubic" by default,
+    or "quintic"). ``workers`` threads the per-core inversion, with
+    results independent of it. Every step runs exactly
     ``picard_iters`` Picard passes, which keeps runs bit-reproducible.
     ``substeps`` refines the Brownian paths so runs at coarser ``dt`` can
     share noise with finer ones (common random numbers). ``probes`` is one
@@ -138,13 +140,14 @@ class SolverConfig:
         if self.cfl_max <= 0 or self.inversion_tol_factor <= 0:
             raise ConfigError("cfl_max and inversion_tol_factor must be positive")
         for name in ("realizations", "reset_interval", "picard_iters", "newton_max_iter",
-                     "substeps", "circulation_realizations"):
+                     "workers", "substeps", "circulation_realizations"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0 or self.snapshot_interval < 0:
             raise ConfigError("seed and snapshot_interval must be >= 0")
-        if self.interpolation not in ("cubic", "linear", "quintic"):
-            raise ConfigError("interpolation must be 'cubic', 'linear' or 'quintic'")
+        if self.interpolation not in INTERPOLATIONS:
+            raise ConfigError(f"interpolation must be one of {tuple(INTERPOLATIONS)}, "
+                              f"got {self.interpolation!r}")
         steps = self.t_end / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ConfigError("t_end must be an integer multiple of dt")
@@ -182,7 +185,7 @@ class SolverConfig:
 
     @property
     def interp_order(self) -> int:
-        return {"linear": 1, "cubic": 3, "quintic": 5}[self.interpolation]
+        return INTERPOLATIONS[self.interpolation]
 
     def grid(self) -> PeriodicGrid:
         return PeriodicGrid(self.dim, self.n, self.length)

@@ -7,6 +7,7 @@ import slns.config
 from slns.cli import main
 from slns.config import compare_gates, load_config, save_effective
 from slns.errors import ConfigError
+from slns.solver import SolverConfig
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples_cfg"
 
@@ -113,6 +114,21 @@ class TestConfigFile:
         p = tmp_path / "probes.cfg"
         p.write_text(f"[run]\nequation = burgers\ndim = 1\n\n[output]\n{line}\n")
         assert load_config(p).probes == [[1.57, 3.14, 4.71]]
+
+    def test_every_run_key_roundtrips(self, tmp_path):
+        # every [run] value differs from its default, so a key that
+        # save_effective leaves out comes back as the default
+        run = dict(equation="lans_alpha", dim=3, n=16, length=3.0, nu=0.07, alpha=0.1,
+                   dt=0.002, t_end=0.01, realizations=8, reset_interval=3, picard_iters=3,
+                   seed=5, backend="translated_flow", interpolation="quintic", cfl_max=0.4,
+                   inversion_tol_factor=1e-9, newton_max_iter=7, workers=2, substeps=2)
+        assert set(run) == set(slns.config._RUN_KEYS)
+        default = SolverConfig()
+        assert all(value != getattr(default, key) for key, value in run.items())
+        cfg = SolverConfig(**run, initial="abc_flow")
+        eff = tmp_path / "effective.cfg"
+        save_effective(cfg, eff)
+        assert load_config(eff) == cfg
 
     def test_two_probes_survive_effective_roundtrip(self, tmp_path):
         p = write_cfg(tmp_path, TG_CFG + "probes = 1.0,2.0 ; 3.0,4.0  # two points\n")
@@ -280,7 +296,10 @@ realizations = 2
             "run.dt=nan",
             "run.t_end=nan",
             "run.newton_max_iter=0",
+            "run.workers=0",
+            "run.workers=-2",
             "run.substeps=0",
+            "run.interpolation=linear",  # only cubic and quintic splines
             "run.seed=-1",
             "output.snapshot_interval=-1",  # `step % -1 == 0` on every step
             "output.probes=",

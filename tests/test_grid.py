@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from slns.grid import Field, PeriodicGrid, l2_inner
+from slns.spectral import workspace
 
 
 class TestPeriodicGrid:
@@ -50,6 +51,13 @@ class TestPeriodicGrid:
         assert PeriodicGrid(2, 8, 8.0).coordinates() is c
         with pytest.raises(ValueError, match="read-only"):
             c[0, 0, 0] = 1.0
+
+    def test_equal_fields_share_a_workspace(self):
+        a, b = PeriodicGrid(2, 16, 2.0), PeriodicGrid(2, 16, 2.0)
+        assert a == b and hash(a) == hash(b)
+        assert workspace(a) is workspace(b)
+        other = PeriodicGrid(2, 16, 3.0)
+        assert other != a and workspace(other) is not workspace(a)
 
 
 class TestField:

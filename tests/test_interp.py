@@ -55,15 +55,6 @@ class TestCubicSpline:
         with pytest.raises(ValueError):
             FieldInterpolator(grid1d, f.values).at(np.array([[np.nan]]))
 
-    def test_linear_fallback(self, grid1d):
-        f = Field.from_callable(grid1d, lambda c: np.sin(c[0]))
-        mid = grid1d.axis() + grid1d.spacing / 2
-        linear = FieldInterpolator(grid1d, f.values, order=1)
-        err = np.max(np.abs(linear.at(mid[None, :])[0] - np.sin(mid)))
-        # second order: h^2/8 * |f''|
-        assert err <= 0.2 * grid1d.spacing**2
-        assert err >= 0.01 * grid1d.spacing**2  # it is genuinely linear, not cubic
-
 
 class TestCoefficients:
     @pytest.mark.parametrize("order", [3, 5])
@@ -99,11 +90,3 @@ class TestBatch:
         for m in range(3):
             ref = FieldInterpolator(grid1d, vals[m]).at(pts[m])
             assert np.array_equal(out[m], ref)
-
-    def test_batch_workers_identical(self, grid2d):
-        rng = np.random.default_rng(2)
-        vals = rng.standard_normal((8, 2) + grid2d.shape)
-        pts = rng.uniform(0, grid2d.length, (8, 2, 100))
-        a = interpolate_batch(grid2d, vals, pts, workers=1)
-        b = interpolate_batch(grid2d, vals, pts, workers=4)
-        assert np.array_equal(a, b)

@@ -616,13 +616,6 @@ class TestOtherConfigurations:
         res = run(cfg)
         assert (res.velocity - taylor_green_2d(cfg.grid())).max_norm() <= 1e-7
 
-    def test_linear_interpolation_runs(self):
-        cfg = tg_config(t_end=0.02, interpolation="linear", realizations=16)
-        res = run(cfg)
-        u0 = taylor_green_2d(cfg.grid())
-        # first order in space: coarse but sane
-        assert (res.velocity - u0).max_norm() <= 0.1
-
     def test_translated_backend_multistep_window(self):
         cfg = tg_config(
             backend="translated_flow",
