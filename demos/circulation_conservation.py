@@ -49,7 +49,6 @@ def main():
             xi[m],
             solver.flow.shifts[m],
             circle,
-            quadrature_n=256,
         )
         print(
             f"{m:>3} {out['gamma_initial']:>20.10f} "

@@ -12,7 +12,7 @@ amplitude; no diffusion operator is ever applied.
 """
 
 from .errors import CFLViolation, ConfigError, NonFiniteVelocity, NonInvertible, SLNSError
-from .flowmap import FlowEnsemble, invert_core, spde_residual
+from .flowmap import FlowEnsemble, invert_core
 from .grid import Field, PeriodicGrid, l2_inner
 from .interp import FieldInterpolator
 from .recovery import (
@@ -79,7 +79,6 @@ __all__ = [
     "oracle_solution",
     "read_snapshot",
     "run",
-    "spde_residual",
     "stochastic_velocity",
     "transported_vorticity_2d",
     "transported_vorticity_3d",

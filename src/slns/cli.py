@@ -24,6 +24,7 @@ from .snapshots import read_snapshot
 from .solver import (
     BACKENDS,
     EQUATIONS,
+    FORCINGS,
     _sha256,
     convergence_study,
     oracle_solution,
@@ -72,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=ORACLES,
         help="overrides the run's [compare] oracle (default analytic)",
     )
-    p_cmp.add_argument("--norms", default="l2,linf", help=f"comma list of {', '.join(NORMS)}")
     p_cmp.set_defaults(handler=cmd_compare)
 
     p_conv = sub.add_parser("convergence", help="refinement study along dt, n or realizations")
@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_overrides(p_conv)
     p_conv.set_defaults(handler=cmd_convergence)
 
-    p_info = sub.add_parser("info", help="show version, registries and config defaults")
+    p_info = sub.add_parser("info", help="show version and registries; validate a config")
     p_info.add_argument("config", nargs="?", help="optionally validate this config")
     p_info.set_defaults(handler=cmd_info)
     return parser
@@ -162,10 +162,6 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"{run_dir} has no effective.cfg (was it produced by `slns run`?)")
     config = load_config(cfg_path)
     gates = compare_gates(cfg_path)
-    norms = [n.strip() for n in args.norms.split(",") if n.strip()]
-    unknown = [n for n in norms if n not in NORMS]
-    if unknown:
-        raise ConfigError(f"--norms must name some of {NORMS}, got {unknown}")
     oracle = args.oracle or gates.get("oracle", "analytic")
     if oracle not in ORACLES:
         raise ConfigError(f"[compare] oracle must be one of {ORACLES}, got {oracle!r}")
@@ -194,7 +190,7 @@ def cmd_compare(args) -> int:
 
     print(f"comparison against {oracle} ({len(rows)} snapshots) -> {out_csv}")
     for r in rows:
-        cols = "  ".join(f"{n}={r[n]:.3e}" for n in norms)
+        cols = "  ".join(f"{n}={r[n]:.3e}" for n in NORMS)
         print(f"  t={r['time']:<8g} {cols}")
 
     failed = []
@@ -246,7 +242,7 @@ def cmd_info(args) -> int:
     print(f"equations: {', '.join(EQUATIONS)}")
     print(f"backends: {', '.join(BACKENDS)}")
     print(f"initial fields: {', '.join(sorted(_GENERATORS))}")
-    print("forcings: steady_taylor_green, constant")
+    print(f"forcings: {', '.join(FORCINGS)}")
     print("snapshot format: SLNSF1 (little-endian, float64)")
     if args.config:
         config = load_config(args.config)

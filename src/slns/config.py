@@ -27,11 +27,9 @@ amplitude = 1.0
 name = constant
 vector = 0.1               # one component per dimension
 
-[circulation]              # optional per-step circulation probe
-kind = circle
-center = 3.14159, 3.14159
+[circulation]              # optional per-step circulation probe: a circle
+center = 3.14159, 3.14159  # default: the box centre
 radius = 1.0
-realizations = 2
 
 [output]
 dir = out/burgers1d
@@ -56,12 +54,11 @@ import numpy as np
 from .errors import ConfigError
 from .solver import SolverConfig
 
-# owned by other sections; every other scalar field is a [run] key, typed by its default
-_OTHER_SECTIONS = ("initial", "snapshot_interval", "circulation_realizations")
+# every scalar field is a [run] key, typed by its default, except those of other sections
 _RUN_KEYS = {
     f.name: type(f.default)
     for f in dataclasses.fields(SolverConfig)
-    if isinstance(f.default, (int, float, str)) and f.name not in _OTHER_SECTIONS
+    if isinstance(f.default, (int, float, str)) and f.name not in ("initial", "snapshot_interval")
 }
 # [compare] gate -> the column of compare_<oracle>.csv it bounds
 COMPARE_GATES = {"l2_max": "l2", "rel_l2_max": "rel_l2", "linf_max": "linf"}
@@ -170,18 +167,11 @@ def load_config(path: str | Path, overrides: dict | None = None) -> SolverConfig
         kwargs["forcing_params"] = params
 
     if parser.has_section("circulation"):
-        items = dict(parser.items("circulation"))
-        spec: dict = {"kind": items.pop("kind", "circle")}
-        if "center" in items:
-            spec["center"] = _parse_vector(items.pop("center"), 2, "[circulation] center")
-        if "radius" in items:
-            spec["radius"] = _parse_typed(items.pop("radius"), float, "[circulation] radius")
-        if "realizations" in items:
-            kwargs["circulation_realizations"] = _parse_typed(
-                items.pop("realizations"), int, "[circulation] realizations"
-            )
-        if items:
-            raise ConfigError(f"unknown [circulation] keys: {sorted(items)}")
+        spec = dict(parser.items("circulation"))  # named_curve rejects other keys
+        if "center" in spec:
+            spec["center"] = _parse_vector(spec["center"], 2, "[circulation] center")
+        if "radius" in spec:
+            spec["radius"] = _parse_typed(spec["radius"], float, "[circulation] radius")
         kwargs["circulation_curve"] = spec
 
     if parser.has_section("output"):
@@ -243,13 +233,8 @@ def save_effective(config: SolverConfig, path: str | Path, gates: dict | None = 
 
     if config.circulation_curve is not None:
         parser.add_section("circulation")
-        spec = config.circulation_curve
-        parser.set("circulation", "kind", str(spec.get("kind", "circle")))
-        if "center" in spec:
-            parser.set("circulation", "center", _fmt_value(spec["center"]))
-        if "radius" in spec:
-            parser.set("circulation", "radius", _fmt_value(spec["radius"]))
-        parser.set("circulation", "realizations", str(config.circulation_realizations))
+        for k, v in config.circulation_curve.items():
+            parser.set("circulation", k, _fmt_value(v))
 
     parser.add_section("output")
     if config.output_dir is not None:

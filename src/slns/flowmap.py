@@ -41,14 +41,13 @@ from .interp import FieldInterpolator
 from .spectral import (
     SpectralWorkspace,
     gradient_values,
-    laplacian_values,
     shift_mean_multiplier,
     shift_phases,
     workspace,
 )
 
 DEFAULT_TOL_FACTOR = 1e-8
-DEFAULT_MAX_NEWTON = 25
+MAX_UPDATES = 25  # fixed-point and Newton updates of one inversion, together
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +94,6 @@ def invert_core(
     xi: np.ndarray,
     order: int = 3,
     tol: float | None = None,
-    max_iter: int = DEFAULT_MAX_NEWTON,
     det_dev: np.ndarray | None = None,
 ) -> np.ndarray:
     """Invert ``Y = I + xi`` on the grid: returns the displacement ``beta``
@@ -113,14 +111,14 @@ def invert_core(
     needs only ``xi`` and contracts by about ``|grad xi|``. Once an update
     fails to halve a residual, or its contraction cannot reach ``tol``
     within the updates left, it is undone there and damped Newton (on a
-    spline of ``grad xi``, built only then) runs the rest; ``max_iter``
+    spline of ``grad xi``, built only then) runs the rest; ``MAX_UPDATES``
     caps both methods' updates together. Every point Newton did not update
     then takes one more, unverified fixed-point update from its last
     (converged) residual.
 
     Raises :exc:`NonInvertible` if ``det(I + grad xi) <= 0`` at a node (the
     map folds and has no inverse) or a node misses ``tol`` after
-    ``max_iter`` updates. When ``det_dev`` (a one-element array) is given,
+    ``MAX_UPDATES`` updates. When ``det_dev`` (a one-element array) is given,
     the fold check writes ``max |det(I + grad xi) - 1|`` into it.
     """
     d = grid.dim
@@ -170,14 +168,14 @@ def invert_core(
     r = residual(a, x)
     rnorm = np.max(np.abs(r), axis=0)
     taken = np.zeros(rnorm.shape, dtype=bool)  # points damped Newton updated
-    for it in range(max_iter + 1):
+    for it in range(MAX_UPDATES + 1):
         active = rnorm > tol
         if not active.any():
             break
-        if it == max_iter:
+        if it == MAX_UPDATES:
             raise NonInvertible(
                 f"map inversion stalled: residual {rnorm.max():.3e} > tol {tol:.3e} "
-                f"after {max_iter} updates (reduce dt or the reset interval)"
+                f"after {MAX_UPDATES} updates (reduce dt or the reset interval)"
             )
         a_act = a[:, active]
         x_act = x[:, active]
@@ -188,7 +186,7 @@ def invert_core(
             r_trial = residual(trial, x_act)
             rn_new = np.max(np.abs(r_trial), axis=0)
             ratio = rn_new / rn_old
-            stalled = (ratio > _FIXED_POINT_RATIO) | (rn_new * ratio ** (max_iter - it - 1) > tol)
+            stalled = (ratio > _FIXED_POINT_RATIO) | (rn_new * ratio ** (MAX_UPDATES - it - 1) > tol)
             if stalled.any():
                 trial[:, stalled] = a_act[:, stalled]
                 r_trial[:, stalled] = r_act[:, stalled]
@@ -251,14 +249,12 @@ class FlowEnsemble:
         realizations: int,
         order: int = 3,
         tol: float | None = None,
-        max_newton: int = DEFAULT_MAX_NEWTON,
         workers: int = 1,
     ):
         self.grid = grid
         self.m = realizations
         self.order = order
         self.tol = DEFAULT_TOL_FACTOR * grid.length if tol is None else tol
-        self.max_newton = max_newton
         self.workers = workers
         d = grid.dim
         self.xi = np.zeros((d,) + grid.shape)
@@ -368,7 +364,7 @@ class FlowEnsemble:
 
         def _one(i: int) -> None:
             beta[i] = invert_core(
-                self.grid, cores[i], self.order, self.tol, self.max_newton, det_dev[i : i + 1]
+                self.grid, cores[i], self.order, self.tol, det_dev[i : i + 1]
             )
 
         thread_map(_one, len(cores), self.workers)
@@ -428,44 +424,3 @@ def translate_batch(values: np.ndarray, shifts: np.ndarray, ws: SpectralWorkspac
     by the spectral phases of :func:`~slns.spectral.shift_phases`; exact for
     band-limited fields."""
     return ws.ifft(ws.fft(values) * shift_phases(shifts, ws)[:, None])
-
-
-# ---------------------------------------------------------------------------
-# SPDE residual diagnostic
-# ---------------------------------------------------------------------------
-
-
-def spde_residual(
-    grid: PeriodicGrid,
-    alpha_prev: np.ndarray,
-    alpha_next: np.ndarray,
-    u_values: np.ndarray,
-    noise: np.ndarray,
-    nu: float,
-    dt: float,
-) -> np.ndarray:
-    """Discrete residual of the back-to-labels evolution equation.
-
-    Checks, per realization, how well the stored maps satisfy
-
-        dA + (u . grad) A dt - nu Lap A dt + sqrt(2 nu) (grad A) dW = 0
-
-    over one step, with ``A = x + alpha`` and ``noise = sqrt(2 nu) dW``.
-    Both ``alpha`` arrays must come from the same label window. Returns the
-    grid L2 norm of the residual for each realization.
-    """
-    if alpha_prev.shape != alpha_next.shape:
-        raise ValueError("alpha arrays disagree in shape")
-    ws = workspace(grid)
-    d = grid.dim
-    grad_a = gradient_values(alpha_prev, ws)  # (M, d, d, spatial)
-    lap_a = laplacian_values(alpha_prev, ws)
-    advect = np.einsum("mij...,j...->mi...", grad_a, u_values)
-    stretch = np.einsum("mij...,mj->mi...", grad_a, noise)
-    noise_uniform = noise[(...,) + (None,) * d]
-    res = (
-        (alpha_next - alpha_prev)
-        + dt * (u_values[None] + advect - nu * lap_a)
-        + (noise_uniform + stretch)
-    )
-    return np.sqrt(np.sum(res**2, axis=tuple(range(1, res.ndim))) * grid.cell_volume)

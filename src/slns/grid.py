@@ -93,7 +93,7 @@ class Field:
 
     __slots__ = ("grid", "values")
 
-    def __init__(self, grid: PeriodicGrid, values: np.ndarray, validate: bool = True):
+    def __init__(self, grid: PeriodicGrid, values: np.ndarray):
         values = np.asarray(values, dtype=np.float64)
         if values.ndim == grid.dim:
             values = values[np.newaxis]
@@ -101,7 +101,7 @@ class Field:
             raise ValueError(
                 f"values shape {values.shape} does not match grid shape {grid.shape}"
             )
-        if validate and not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
         self.grid = grid
         self.values = values
@@ -126,7 +126,7 @@ class Field:
         return self.components == self.grid.dim
 
     def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy(), validate=False)
+        return Field(self.grid, self.values.copy())
 
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -142,14 +142,14 @@ class Field:
 
     def __add__(self, other: "Field") -> "Field":
         self._check_compatible(other)
-        return Field(self.grid, self.values + other.values, validate=False)
+        return Field(self.grid, self.values + other.values)
 
     def __sub__(self, other: "Field") -> "Field":
         self._check_compatible(other)
-        return Field(self.grid, self.values - other.values, validate=False)
+        return Field(self.grid, self.values - other.values)
 
     def __mul__(self, scalar: float) -> "Field":
-        return Field(self.grid, self.values * scalar, validate=False)
+        return Field(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
 

@@ -231,6 +231,9 @@ def forcing_increment(flow: FlowEnsemble, forcing, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+CURVE_PANELS = 256  # quadrature panels of each circulation line integral
+
+
 def _closed_curve_tangent(samples: np.ndarray) -> np.ndarray:
     """d/ds of a smooth closed curve sampled at ``s_i = i/n``, by spectral
     differentiation in the parameter."""
@@ -248,7 +251,6 @@ def circulation(
     xi_values: np.ndarray,
     shift: np.ndarray,
     curve,
-    quadrature_n: int = 256,
     order: int = 3,
 ) -> dict:
     """Both sides of the circulation identity for one realization.
@@ -256,15 +258,15 @@ def circulation(
     ``oint_{X(curve)} u~ . dr`` is compared with ``oint_curve u0 . dr``;
     their absolute difference is the conservation defect. The curve is a
     callable ``s -> (d, len(s))`` on [0, 1], smooth and closed; both line
-    integrals use the periodic trapezoidal rule on ``quadrature_n`` panels.
+    integrals use the periodic trapezoidal rule on ``CURVE_PANELS`` panels.
     """
     d = grid.dim
     ends = curve(np.array([0.0, 1.0]))
     if np.max(np.abs(ends[:, 0] - ends[:, 1])) > 1e-12:
         raise ValueError("curve is not closed: endpoints differ by more than 1e-12")
-    s = np.arange(quadrature_n) / quadrature_n
+    s = np.arange(CURVE_PANELS) / CURVE_PANELS
     q = np.asarray(curve(s), dtype=np.float64)
-    if q.shape != (d, quadrature_n):
+    if q.shape != (d, CURVE_PANELS):
         raise ValueError(f"curve must return shape ({d}, n)")
     dq = _closed_curve_tangent(q)
 

@@ -3,8 +3,7 @@
 Everything here is independent of the stochastic solver: a classical
 pseudo-spectral Navier-Stokes integrator (integrating-factor RK4 with
 2/3-rule dealiasing), the exact periodic Cole-Hopf solution of viscous
-Burgers, a plain finite-difference Burgers integrator (used to certify the
-Cole-Hopf evaluation itself), and closed-form velocity fields.
+Burgers, and closed-form velocity fields.
 """
 
 from __future__ import annotations
@@ -251,7 +250,7 @@ def spectral_resample(f: Field, n_to: int) -> Field:
     dst_ix = np.ix_(np.arange(f.components), *([keep % n_to] * grid.dim))
     out[dst_ix] = coeffs[src_ix]
     vals = np.real(np.fft.ifftn(out, axes=axes)) * (n_to**grid.dim / grid.num_points)
-    return Field(to_grid, vals, validate=False)
+    return Field(to_grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -318,80 +317,10 @@ def cole_hopf_burgers(
     return -2.0 * nu * theta_x / theta_v
 
 
-def finite_difference_burgers(
-    u0_samples: np.ndarray,
-    length: float,
-    nu: float,
-    t: float,
-    n_fine: int = 1024,
-    dt: float | None = None,
-) -> np.ndarray:
-    """Fine-grid finite-difference Burgers integrator (RK4 in time,
-    4th-order central stencils, conservative form). Independent of every
-    spectral code path; exists to certify the Cole-Hopf oracle.
-
-    Returns the solution at ``t`` sampled back at the ``u0`` grid points.
-    """
-    u0_samples = np.asarray(u0_samples, dtype=np.float64)
-    if nu <= 0:
-        raise ValueError("the finite-difference oracle needs nu > 0")
-    n0 = u0_samples.size
-    if n_fine % n0 != 0:
-        raise ValueError("n_fine must be a multiple of the input resolution")
-    ratio = n_fine // n0
-    if ratio == 1:
-        u = u0_samples.copy()
-    else:
-        # cubic-convolution upsampling keeps the prolongation error below
-        # the stencil error without touching any FFT machinery
-        from scipy import ndimage
-
-        idx = (np.arange(n_fine) / ratio)[None]
-        u = ndimage.map_coordinates(
-            ndimage.spline_filter(u0_samples, order=3, mode="grid-wrap"),
-            idx,
-            order=3,
-            mode="grid-wrap",
-            prefilter=False,
-        )
-
-    h = length / n_fine
-    if dt is None:
-        dt = min(0.3 * h / max(np.max(np.abs(u)), 1e-12), 0.25 * h**2 / nu)
-    steps = max(1, int(np.ceil(t / dt)))
-    dt = t / steps
-
-    def dx4(v: np.ndarray) -> np.ndarray:
-        return (
-            -np.roll(v, -2) + 8 * np.roll(v, -1) - 8 * np.roll(v, 1) + np.roll(v, 2)
-        ) / (12 * h)
-
-    def lap4(v: np.ndarray) -> np.ndarray:
-        return (
-            -np.roll(v, -2)
-            + 16 * np.roll(v, -1)
-            - 30 * v
-            + 16 * np.roll(v, 1)
-            - np.roll(v, 2)
-        ) / (12 * h**2)
-
-    def rhs(v: np.ndarray) -> np.ndarray:
-        return -dx4(0.5 * v * v) + nu * lap4(v)
-
-    for _ in range(steps):
-        k1 = rhs(u)
-        k2 = rhs(u + 0.5 * dt * k1)
-        k3 = rhs(u + 0.5 * dt * k2)
-        k4 = rhs(u + dt * k3)
-        u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return u[::ratio].copy()
-
-
 __all__ = [
     "abc_flow",
     "analytic_field",
     "cole_hopf_burgers",
-    "finite_difference_burgers",
     "random_band_limited",
     "sine_mode",
     "spectral_ns_run",

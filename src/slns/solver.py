@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CFLViolation, ConfigError, NonFiniteVelocity
-from .flowmap import DEFAULT_MAX_NEWTON, DEFAULT_TOL_FACTOR, FlowEnsemble
+from .flowmap import DEFAULT_TOL_FACTOR, FlowEnsemble
 from .grid import Field, PeriodicGrid
 from .recovery import (
     burgers_velocity,
@@ -62,6 +62,9 @@ from .wiener import WienerEnsemble
 EQUATIONS = ("navier_stokes", "burgers", "euler", "lans_alpha")
 BACKENDS = ("direct_sde", "translated_flow")
 INTERPOLATIONS = {"cubic": 3, "quintic": 5}  # name -> spline order
+FORCINGS = ("steady_taylor_green", "constant")
+CFL_MAX = 0.5  # a step fails when dt max|u| / h exceeds this
+CIRCULATION_REALIZATIONS = 2  # realizations whose circulation a probe reports
 
 DIAG_COLUMNS = (
     "step",
@@ -106,9 +109,7 @@ class SolverConfig:
     seed: int = 0
     backend: str = "direct_sde"
     interpolation: str = "cubic"
-    cfl_max: float = 0.5
     inversion_tol_factor: float = DEFAULT_TOL_FACTOR
-    newton_max_iter: int = DEFAULT_MAX_NEWTON
     workers: int = 1
     substeps: int = 1
     initial: str = "taylor_green_2d"
@@ -118,7 +119,6 @@ class SolverConfig:
     snapshot_interval: int = 0
     probes: list | None = None
     circulation_curve: dict | None = None
-    circulation_realizations: int = 2
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -126,7 +126,7 @@ class SolverConfig:
             raise ConfigError(f"equation must be one of {EQUATIONS}, got {self.equation!r}")
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        for name in ("length", "nu", "alpha", "dt", "t_end", "cfl_max", "inversion_tol_factor"):
+        for name in ("length", "nu", "alpha", "dt", "t_end", "inversion_tol_factor"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.equation == "euler" and self.nu != 0.0:
@@ -137,10 +137,9 @@ class SolverConfig:
             raise ConfigError("alpha must be >= 0")
         if self.dt <= 0 or self.t_end < 0:
             raise ConfigError("dt must be positive and t_end nonnegative")
-        if self.cfl_max <= 0 or self.inversion_tol_factor <= 0:
-            raise ConfigError("cfl_max and inversion_tol_factor must be positive")
-        for name in ("realizations", "reset_interval", "picard_iters", "newton_max_iter",
-                     "workers", "substeps", "circulation_realizations"):
+        if self.inversion_tol_factor <= 0:
+            raise ConfigError("inversion_tol_factor must be positive")
+        for name in ("realizations", "reset_interval", "picard_iters", "workers", "substeps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0 or self.snapshot_interval < 0:
@@ -155,20 +154,11 @@ class SolverConfig:
             PeriodicGrid(self.dim, self.n, self.length)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        self.initial_field()
         if self.forcing is not None or self.forcing_params:
             make_forcing(self.forcing, self)
-        if self.circulation_curve:
-            if self.dim != 2:
-                raise ConfigError(f"a [circulation] curve needs dim = 2, got dim = {self.dim}")
-            spec = self.circulation_curve
-            try:  # center x, center y, radius
-                circle = np.array([*spec.get("center", (0.0, 0.0)), spec.get("radius", 1.0)],
-                                  dtype=np.float64)
-            except (TypeError, ValueError):
-                circle = np.array([np.nan])
-            if circle.shape != (3,) or not np.isfinite(circle).all():
-                raise ConfigError("[circulation] center must be two finite numbers "
-                                  "and radius a finite number")
+        if self.circulation_curve is not None:
+            named_curve(self)
         if self.probes is not None:
             try:
                 pts = np.asarray(self.probes, dtype=np.float64)
@@ -191,11 +181,22 @@ class SolverConfig:
         return PeriodicGrid(self.dim, self.n, self.length)
 
     def initial_field(self) -> Field:
+        """The initial velocity; it must have ``dim`` components and, unless
+        the equation is Burgers, be divergence-free."""
         grid = self.grid()
         try:
-            return analytic_field(self.initial, grid, **self.initial_params)
+            u0 = analytic_field(self.initial, grid, **self.initial_params)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"initial field {self.initial!r}: {exc}") from None
+        if u0.components != self.dim:
+            raise ConfigError(f"initial field {self.initial!r} must be a velocity "
+                              f"({self.dim} components), got {u0.components}")
+        if self.equation != "burgers":
+            div0 = np.max(np.abs(divergence_values(u0.values, workspace(grid))))
+            if div0 > 1e-8 * max(u0.max_norm(), 1e-300):
+                raise ConfigError(f"initial field {self.initial!r} must be divergence-free "
+                                  f"for equation={self.equation}")
+        return u0
 
     def forcing_fn(self):
         if self.forcing is None:
@@ -217,51 +218,70 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 
 
+def _finite_numbers(value, shape: tuple, what: str) -> np.ndarray:
+    """``value`` as a float64 array of ``shape``; anything but finite
+    numbers of that shape is a ConfigError."""
+    try:
+        arr = np.asarray(value)
+        ok = arr.dtype.kind in "iuf" and arr.shape == shape and np.isfinite(arr).all()
+    except ValueError:  # ragged
+        ok = False
+    if not ok:
+        count = "a finite number" if shape == () else f"{shape[0]} finite numbers"
+        raise ConfigError(f"{what} must be {count}, got {value!r}")
+    return arr.astype(np.float64)
+
+
 def make_forcing(name: str, config: SolverConfig):
-    """Named forcings ``f(points, t)``; a parameter they do not read is a ConfigError."""
+    """The forcing ``f(points, t)`` named in :data:`FORCINGS`; a parameter
+    it does not read, or one that is not finite numbers, is a ConfigError."""
+    if name not in FORCINGS:
+        raise ConfigError(f"forcing must be one of {FORCINGS}, got {name!r}")
     params = dict(config.forcing_params)
-    L = config.length
     if name == "steady_taylor_green":
         # Balances viscous decay of the 2D cellular field so it is a
         # steady solution: f = -nu * Lap(u0) = 2 nu (2pi/L)^2 u0.
-        amp = params.pop("amplitude", 1.0)
-        k = 2.0 * np.pi / L
+        if config.dim != 2:
+            raise ConfigError(f"steady_taylor_green forcing needs dim = 2, got dim = {config.dim}")
+        amp = float(_finite_numbers(params.pop("amplitude", 1.0), (), "[forcing] amplitude"))
+        k = 2.0 * np.pi / config.length
         coef = 2.0 * config.nu * k**2 * amp
 
         def f(points, t):
             x, y = points[0], points[1]
             return coef * np.stack([np.cos(k * x) * np.sin(k * y), -np.sin(k * x) * np.cos(k * y)])
 
-    elif name == "constant":
-        vec = params.pop("vector", [0.0] * config.dim)
-        if np.shape(vec) != (config.dim,):
-            raise ConfigError(f"constant forcing vector must have {config.dim} numbers")
-        vec = np.asarray(vec, dtype=np.float64)
+    else:
+        vec = _finite_numbers(params.pop("vector", [0.0] * config.dim), (config.dim,),
+                              "[forcing] vector")
 
         def f(points, t):
             shape = points.shape[1:]
             return np.broadcast_to(vec.reshape((config.dim,) + (1,) * len(shape)), (config.dim,) + shape)
 
-    else:
-        raise ConfigError(f"unknown forcing {name!r}")
     if params:
         raise ConfigError(f"[forcing] {name} does not read {sorted(params)}")
     return f
 
 
-def named_curve(spec: dict, length: float):
-    """Closed-curve factory for circulation probes."""
-    kind = spec.get("kind", "circle")
-    if kind == "circle":
-        center = np.asarray(spec.get("center", [length / 2.0, length / 2.0]))
-        radius = float(spec.get("radius", 1.0))
+def named_curve(config: SolverConfig):
+    """The circulation probe's circle ``s -> center + radius (cos 2 pi s,
+    sin 2 pi s)`` from ``config.circulation_curve``, whose only keys are
+    ``center`` (default the box centre) and ``radius`` (default 1)."""
+    if config.dim != 2:
+        raise ConfigError(f"a [circulation] curve needs dim = 2, got dim = {config.dim}")
+    spec = dict(config.circulation_curve)
+    half = config.length / 2.0
+    center = _finite_numbers(spec.pop("center", [half, half]), (2,), "[circulation] center")
+    radius = float(_finite_numbers(spec.pop("radius", 1.0), (), "[circulation] radius"))
+    if spec:
+        raise ConfigError(f"[circulation] does not read {sorted(spec)}")
 
-        def curve(s):
-            ang = 2.0 * np.pi * np.asarray(s)
-            return np.stack([center[0] + radius * np.cos(ang), center[1] + radius * np.sin(ang)])
+    def curve(s):
+        ang = 2.0 * np.pi * np.asarray(s)
+        return np.stack([center[0] + radius * np.cos(ang), center[1] + radius * np.sin(ang)])
 
-        return curve
-    raise ConfigError(f"unknown curve kind {spec.get('kind')!r}")
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +350,6 @@ class StochasticSolver:
         self.ws = workspace(self.grid)
         self.order = config.interp_order
         u0 = config.initial_field()
-        if u0.components != config.dim:
-            raise ConfigError("initial field must be a velocity (dim components)")
 
         self.ensemble = WienerEnsemble(config.realizations, config.dim, config.seed, config.substeps)
         self.flow = FlowEnsemble(
@@ -339,15 +357,9 @@ class StochasticSolver:
             config.realizations,
             order=self.order,
             tol=config.inversion_tol_factor * config.length,
-            max_newton=config.newton_max_iter,
             workers=config.workers,
         )
 
-        incompressible = config.equation in ("navier_stokes", "euler", "lans_alpha")
-        if incompressible:
-            div0 = np.max(np.abs(divergence_values(u0.values, self.ws)))
-            if div0 > 1e-8 * max(u0.max_norm(), 1e-300):
-                raise ConfigError("initial velocity must be divergence-free")
 
         # Label data: the transported quantity on the current window.
         # For the alpha model the labels carry the momentum v and the drift
@@ -363,15 +375,11 @@ class StochasticSolver:
         # forcing to the label velocity only, so they report its curl instead
         self.forcing = config.forcing_fn()
         self.labels_omega = self.omega_values = None
-        if config.dim == 2 and incompressible and self.forcing is None:
+        if config.dim == 2 and config.equation != "burgers" and self.forcing is None:
             self.labels_omega = curl_values(self.labels_u, self.ws)[np.newaxis]
             self.omega_values = self.labels_omega.copy()
 
-        self.curve = (
-            named_curve(config.circulation_curve, config.length)
-            if config.circulation_curve
-            else None
-        )
+        self.curve = named_curve(config) if config.circulation_curve is not None else None
         self.probes = config.default_probes()
         self.diagnostics = Diagnostics()
         self.circulation_rows: list[dict] = []
@@ -412,15 +420,15 @@ class StochasticSolver:
         return umax
 
     def velocity_field(self) -> Field:
-        return Field(self.grid, self.u_values.copy(), validate=False)
+        return Field(self.grid, self.u_values.copy())
 
     def momentum_field(self) -> Field:
-        return Field(self.grid, self.v_values.copy(), validate=False)
+        return Field(self.grid, self.v_values.copy())
 
     def vorticity_field(self) -> Field | None:
         if self.omega_values is None:
             return None
-        return Field(self.grid, self.omega_values.copy(), validate=False)
+        return Field(self.grid, self.omega_values.copy())
 
     # -- one step ----------------------------------------------------------
 
@@ -429,9 +437,9 @@ class StochasticSolver:
         t_start = _time.perf_counter()
         umax = self._max_speed(self.u_values)
         cfl = cfg.dt * umax / self.grid.spacing
-        if cfl > cfg.cfl_max:
+        if cfl > CFL_MAX:
             raise CFLViolation(
-                f"step {self.step_index}: CFL {cfl:.3f} exceeds {cfg.cfl_max} "
+                f"step {self.step_index}: CFL {cfl:.3f} exceeds {CFL_MAX} "
                 f"(|u|max={umax:.3e}); reduce dt"
             )
 
@@ -540,7 +548,7 @@ class StochasticSolver:
     def _circulation_diagnostics(self, label_u: np.ndarray) -> float:
         cfg = self.config
         worst = 0.0
-        sample = min(cfg.circulation_realizations, cfg.realizations)
+        sample = min(CIRCULATION_REALIZATIONS, cfg.realizations)
         xi = self.flow.xi_general()
         # forced windows carry one label field per realization
         labels = np.broadcast_to(label_u, xi.shape[:1] + label_u.shape[-self.grid.dim - 1 :])
@@ -553,7 +561,6 @@ class StochasticSolver:
                 xi[m],
                 self.flow.shifts[m],
                 self.curve,
-                quadrature_n=256,
                 order=self.order,
             )
             self.circulation_rows.append({"time": self.t, "realization": m, **res})

@@ -256,23 +256,23 @@ def gradient(f: Field) -> Field:
     index ``i * dim + j``."""
     ws = workspace(f.grid)
     g = gradient_values(f.values, ws)
-    return Field(f.grid, g.reshape((-1,) + f.grid.shape), validate=False)
+    return Field(f.grid, g.reshape((-1,) + f.grid.shape))
 
 
 def divergence(v: Field) -> Field:
     if not v.is_vector:
         raise ValueError(f"divergence needs {v.grid.dim} components, got {v.components}")
-    return Field(v.grid, divergence_values(v.values, workspace(v.grid)), validate=False)
+    return Field(v.grid, divergence_values(v.values, workspace(v.grid)))
 
 
 def laplacian(f: Field) -> Field:
-    return Field(f.grid, laplacian_values(f.values, workspace(f.grid)), validate=False)
+    return Field(f.grid, laplacian_values(f.values, workspace(f.grid)))
 
 
 def curl(v: Field) -> Field:
     if not v.is_vector:
         raise ValueError(f"curl needs {v.grid.dim} components, got {v.components}")
-    return Field(v.grid, curl_values(v.values, workspace(v.grid)), validate=False)
+    return Field(v.grid, curl_values(v.values, workspace(v.grid)))
 
 
 def leray_project(v: Field) -> Field:
@@ -280,7 +280,7 @@ def leray_project(v: Field) -> Field:
     computed modewise. Idempotent; the spatial mean passes through."""
     if not v.is_vector:
         raise ValueError(f"projection needs {v.grid.dim} components, got {v.components}")
-    return Field(v.grid, project_values(v.values, workspace(v.grid)), validate=False)
+    return Field(v.grid, project_values(v.values, workspace(v.grid)))
 
 
 def helmholtz_invert(v: Field, alpha: float) -> Field:
@@ -288,4 +288,4 @@ def helmholtz_invert(v: Field, alpha: float) -> Field:
     identity (returned as a copy, no transform applied)."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    return Field(v.grid, helmholtz_values(v.values, alpha, workspace(v.grid)), validate=False)
+    return Field(v.grid, helmholtz_values(v.values, alpha, workspace(v.grid)))

@@ -14,8 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import alpha_general, fit_order
-from slns.flowmap import spde_residual
+from conftest import alpha_general, fit_order, spde_residual
 from slns.grid import Field, PeriodicGrid
 from slns.recovery import circulation, stochastic_velocity
 from slns.reference import (
@@ -215,9 +214,7 @@ def test_criterion_5_circulation_conservation():
         defects = []
         for m in range(cfg.realizations):
             u_tilde = stochastic_velocity(s.flow, s.labels_u, m)
-            res = circulation(
-                s.grid, s.labels_u, u_tilde, xi[m], s.flow.shifts[m], curve, 256
-            )
+            res = circulation(s.grid, s.labels_u, u_tilde, xi[m], s.flow.shifts[m], curve)
             defects.append(res["defect"])
             if gamma0 is None:
                 gamma0 = abs(res["gamma_initial"])

@@ -1,9 +1,11 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slns.config
+import slns.solver
 from slns.cli import main
 from slns.config import compare_gates, load_config, save_effective
 from slns.errors import ConfigError
@@ -112,7 +114,8 @@ class TestConfigFile:
             ln for ln in slns.config.__doc__.splitlines() if ln.startswith("probes =")
         )
         p = tmp_path / "probes.cfg"
-        p.write_text(f"[run]\nequation = burgers\ndim = 1\n\n[output]\n{line}\n")
+        p.write_text(f"[run]\nequation = burgers\ndim = 1\n\n[initial]\nname = sine_mode\n"
+                     f"\n[output]\n{line}\n")
         assert load_config(p).probes == [[1.57, 3.14, 4.71]]
 
     def test_every_run_key_roundtrips(self, tmp_path):
@@ -120,8 +123,8 @@ class TestConfigFile:
         # save_effective leaves out comes back as the default
         run = dict(equation="lans_alpha", dim=3, n=16, length=3.0, nu=0.07, alpha=0.1,
                    dt=0.002, t_end=0.01, realizations=8, reset_interval=3, picard_iters=3,
-                   seed=5, backend="translated_flow", interpolation="quintic", cfl_max=0.4,
-                   inversion_tol_factor=1e-9, newton_max_iter=7, workers=2, substeps=2)
+                   seed=5, backend="translated_flow", interpolation="quintic",
+                   inversion_tol_factor=1e-9, workers=2, substeps=2)
         assert set(run) == set(slns.config._RUN_KEYS)
         default = SolverConfig()
         assert all(value != getattr(default, key) for key, value in run.items())
@@ -185,10 +188,8 @@ class TestCLI:
 name = steady_taylor_green
 
 [circulation]
-kind = circle
 center = 3.0, 3.2
 radius = 1.0
-realizations = 2
 """
         p = write_cfg(tmp_path, TG_CFG + "probes = 1.0,2.0 ; 3.0,4.0\n" + sections)
         assert main(["run", str(p), "--set", "run.reset_interval=2"]) == 0
@@ -211,13 +212,21 @@ realizations = 2
             "name = steady_taylor_green\namplitud = 2",
             "name = steady_taylor_green\nquadrature = left",
             "nme = constant\nvector = 0.1, 0.0",  # no forcing name: not unforced
+            "name = constant\nvector = nan, 0",
+            "name = constant\nvector = 0, inf",
+            "name = steady_taylor_green\namplitude = nan",
+            "name = steady_taylor_green\namplitude = inf",
+            "name = steady_taylor_green\namplitude = abc",
         ],
-        ids=["amplitud", "quadrature", "nameless"],
+        ids=["amplitud", "quadrature", "nameless", "vector-nan", "vector-inf", "amplitude-nan",
+             "amplitude-inf", "amplitude-abc"],
     )
     def test_unknown_forcing_key_exit_1(self, tmp_path, capsys, lines):
         p = write_cfg(tmp_path, TG_CFG + f"\n[forcing]\n{lines}\n")
+        assert main(["info", str(p)]) == 1
         assert main(["run", str(p)]) == 1
-        assert "forcing" in capsys.readouterr().err
+        assert capsys.readouterr().err.count("forcing") >= 2
+        assert not (tmp_path / "out").exists()
 
     def test_workers_flag_invariant(self, tmp_path):
         p = write_cfg(tmp_path, TG_CFG)
@@ -243,23 +252,53 @@ realizations = 2
         assert not (tmp_path / "out").exists()
 
     def test_cfl_violation_exit_2(self, tmp_path, capsys):
+        # dt |u|max / h = 0.05 * 1 / (2 pi / 128) = 1.02 > CFL_MAX
         p = write_cfg(tmp_path, BURGERS_CFG)
-        code = main(["run", str(p), "--set", "run.dt=0.05", "--set", "run.t_end=0.05",
-                     "--set", "run.cfl_max=0.01"])
+        code = main(["run", str(p), "--set", "run.dt=0.05", "--set", "run.t_end=0.05"])
         assert code == 2
+        assert "CFL" in capsys.readouterr().err
 
-    def test_non_invertible_exit_3(self, tmp_path):
+    def test_non_invertible_exit_3(self, tmp_path, capsys):
+        # a tolerance below rounding cannot be met within MAX_UPDATES updates
         p = write_cfg(tmp_path, TG_CFG)
-        code = main(["run", str(p), "--set", "run.newton_max_iter=1",
-                     "--set", "run.inversion_tol_factor=1e-15"])
-        assert code == 3
+        assert main(["run", str(p), "--set", "run.inversion_tol_factor=1e-17"]) == 3
+        assert "stalled" in capsys.readouterr().err
 
-    def test_non_finite_velocity_exit_4(self, tmp_path, capsys):
-        # a NaN force makes the first recovered velocity NaN
-        nan_force = "\n[forcing]\nname = steady_taylor_green\namplitude = nan\n"
-        p = write_cfg(tmp_path, TG_CFG + nan_force)
+    def test_folded_map_exit_3(self, tmp_path, capsys):
+        # the unit sine steepens into a shock near t = 1; a window that long folds
+        p = write_cfg(tmp_path, BURGERS_CFG)
+        args = ["run.nu=0.001", "run.dt=0.02", "run.t_end=1.6", "run.realizations=4",
+                "run.reset_interval=1000"]
+        assert main(["run", str(p), *(a for kv in args for a in ("--set", kv))]) == 3
+        assert "map folds" in capsys.readouterr().err
+
+    def test_non_finite_velocity_exit_4(self, tmp_path, capsys, monkeypatch):
+        # a NaN from the Weber recovery is caught before the step commits
+        monkeypatch.setattr(slns.solver, "weber_velocity",
+                            lambda flow, u0: np.full(u0.shape[-3:], np.nan))
+        p = write_cfg(tmp_path, TG_CFG)
         assert main(["run", str(p)]) == 4
         assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        ["run.cfl_max=0.5", "run.newton_max_iter=25", "circulation.kind=circle",
+         "circulation.realizations=2"],
+    )
+    def test_retired_key_exit_1_names_it(self, tmp_path, capsys, override):
+        # keys that older effective.cfg files hold; their settings are constants
+        p = write_cfg(tmp_path, TG_CFG)
+        assert main(["run", str(p), "--set", override]) == 1
+        key = override.split("=")[0].split(".")[1]
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_circulation_section_writes_rows(self, tmp_path):
+        p = write_cfg(tmp_path, TG_CFG + "\n[circulation]\n")
+        assert main(["run", str(p)]) == 0
+        rows = (tmp_path / "out" / "circulation.csv").read_text().splitlines()
+        assert len(rows) == 1 + 4 * 2  # 4 steps x CIRCULATION_REALIZATIONS
+        assert "[circulation]" in (tmp_path / "out" / "effective.cfg").read_text()
 
     @pytest.mark.parametrize(
         "override",
@@ -275,7 +314,6 @@ realizations = 2
         [
             "circulation.center=a, b",
             "circulation.radius=x",
-            "circulation.realizations=x",
             "output.snapshot_interval=x",
         ],
     )
@@ -289,13 +327,10 @@ realizations = 2
         [
             "run.nu=nan",  # `nu > 0` is false for NaN: a noise-free run
             "run.alpha=inf",
-            "run.cfl_max=nan",  # `cfl > nan` never holds: no CFL check
-            "run.cfl_max=0",
             "run.inversion_tol_factor=nan",  # `rnorm > nan` never holds
             "run.inversion_tol_factor=-1e-8",
             "run.dt=nan",
             "run.t_end=nan",
-            "run.newton_max_iter=0",
             "run.workers=0",
             "run.workers=-2",
             "run.substeps=0",
@@ -304,7 +339,7 @@ realizations = 2
             "output.snapshot_interval=-1",  # `step % -1 == 0` on every step
             "output.probes=",
             "output.probes=1.0, nan",
-            "circulation.realizations=0",  # would compute no circulation
+            "circulation.realizations=0",  # retired: the probe reports 2 realizations
             # non-finite curves used to fail at the first step's interpolation
             "circulation.radius=nan",
             "circulation.radius=inf",
@@ -316,15 +351,36 @@ realizations = 2
         assert main(["run", str(p), "--set", override]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            TG_CFG.replace("name = taylor_green_2d", "name = sine_mode"),  # not divergence-free
+            TG_CFG.replace("name = taylor_green_2d", "name = taylor_green_2d\namplitude = nan"),
+            BURGERS_CFG + "\n[forcing]\nname = steady_taylor_green\n",  # a 2D forcing
+        ],
+        ids=["divergent-initial", "nan-initial", "1d-steady-taylor-green"],
+    )
+    def test_info_rejects_what_run_rejects(self, tmp_path, capsys, text):
+        p = write_cfg(tmp_path, text)
+        assert main(["info", str(p)]) == 1
+        assert main(["run", str(p)]) == 1
+        assert capsys.readouterr().err.count("error:") == 2
+        assert not (tmp_path / "out").exists()
+
     def test_circulation_needs_2d(self, tmp_path, capsys):
-        p = write_cfg(tmp_path, BURGERS_CFG + "\n[circulation]\nkind = circle\n")
+        p = write_cfg(tmp_path, BURGERS_CFG + "\n[circulation]\n")
         assert main(["run", str(p)]) == 1
         assert "circulation" in capsys.readouterr().err
 
     def test_compare_gates_pass_and_fail(self, tmp_path, capsys):
         p = write_cfg(tmp_path, BURGERS_CFG)
         main(["run", str(p)])
+        capsys.readouterr()
         assert main(["compare", str(tmp_path / "out"), "--oracle", "cole_hopf"]) == 0
+        # every snapshot row prints the three norms of compare_<oracle>.csv
+        rows = [line for line in capsys.readouterr().out.splitlines() if "t=" in line]
+        assert rows and all(re.findall(r"(\w+)=", line) == ["t", "l2", "rel_l2", "linf"]
+                            for line in rows)
         # tighten the gate beyond reach and expect a failure exit
         eff = tmp_path / "out" / "effective.cfg"
         eff.write_text(re.sub(r"rel_l2_max = .*", "rel_l2_max = 1e-12", eff.read_text()))
@@ -357,17 +413,6 @@ realizations = 2
         eff.write_text(re.sub(r"rel_l2_max = .*", f"rel_l2_max = {value}", eff.read_text()))
         assert main(["compare", str(tmp_path / "out")]) == 1
         assert "must be finite" in capsys.readouterr().err
-
-    def test_compare_norms_validated(self, tmp_path, capsys):
-        p = write_cfg(tmp_path, BURGERS_CFG)
-        assert main(["run", str(p)]) == 0
-        capsys.readouterr()
-        assert main(["compare", str(tmp_path / "out"), "--norms", "l9"]) == 1
-        err = capsys.readouterr().err
-        assert "l9" in err and "rel_l2" in err
-        assert main(["compare", str(tmp_path / "out"), "--norms", "rel_l2"]) == 0
-        rows = [line for line in capsys.readouterr().out.splitlines() if "t=" in line]
-        assert rows and all(re.findall(r"(\w+)=", line) == ["t", "rel_l2"] for line in rows)
 
     def test_compare_run_against_its_own_field(self, tmp_path):
         # comparing the t=0 snapshot against the analytic initial state

@@ -295,7 +295,7 @@ class TestCirculation:
         fe = FlowEnsemble(grid2d, 1)
         fe.invert()
         res = circulation(
-            grid2d, gq, gq, fe.xi, fe.shifts[0], self.circle((np.pi, np.pi), 1.0), 256
+            grid2d, gq, gq, fe.xi, fe.shifts[0], self.circle((np.pi, np.pi), 1.0)
         )
         # zero up to the spline representation of the gradient field
         scale = np.max(np.abs(gq))
@@ -308,7 +308,7 @@ class TestCirculation:
         fe.invert()
         ut = stochastic_velocity(fe, u0.values, 0)
         res = circulation(
-            grid2d, u0.values, ut, fe.xi, fe.shifts[0], self.circle((np.pi, np.pi), 1.0), 256
+            grid2d, u0.values, ut, fe.xi, fe.shifts[0], self.circle((np.pi, np.pi), 1.0)
         )
         assert res["defect"] <= 1e-12
         assert res["gamma_initial"] == pytest.approx(-4.8379669652720, rel=1e-6)
@@ -323,9 +323,7 @@ class TestCirculation:
             return np.stack([np.pi + s, np.pi + 0 * s])
 
         with pytest.raises(ValueError):
-            circulation(
-                grid2d, u0.values, u0.values, fe.xi, fe.shifts[0], open_curve, 64
-            )
+            circulation(grid2d, u0.values, u0.values, fe.xi, fe.shifts[0], open_curve)
 
     def test_defect_shrinks_under_refinement(self):
         u0_amp = 1.0
@@ -336,7 +334,7 @@ class TestCirculation:
             fe = noisy_flow(grid, 1, nu=0.05, dt=dt, seed=2, drift=u0.values)
             ut = stochastic_velocity(fe, u0.values, 0)
             res = circulation(
-                grid, u0.values, ut, fe.xi, fe.shifts[0], self.circle((np.pi, np.pi), 1.0), 256
+                grid, u0.values, ut, fe.xi, fe.shifts[0], self.circle((np.pi, np.pi), 1.0)
             )
             defects.append(res["defect"])
         assert fit_order([32, 64, 128], defects) >= 1.0

@@ -3,13 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import fit_order, taylor_green_2d_vorticity
+from conftest import finite_difference_burgers, fit_order, taylor_green_2d_vorticity
 from slns.grid import Field
 from slns.reference import (
     abc_flow,
     analytic_field,
     cole_hopf_burgers,
-    finite_difference_burgers,
     random_band_limited,
     spectral_ns_run,
     taylor_green_2d,

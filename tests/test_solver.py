@@ -99,10 +99,26 @@ class TestConfigValidation:
         pts = [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]]
         assert np.array_equal(tg_config(probes=pts).default_probes(), pts)
 
+    def test_forcing_values_must_be_finite_numbers(self):
+        for amplitude in ("x", np.nan, np.inf, [1.0, 2.0], None):
+            with pytest.raises(ConfigError, match=r"\[forcing\] amplitude"):
+                tg_config(forcing="steady_taylor_green", forcing_params={"amplitude": amplitude})
+        for vector in ([np.nan, 0.0], [0.0, "1"], [0.1]):
+            with pytest.raises(ConfigError, match=r"\[forcing\] vector"):
+                tg_config(forcing="constant", forcing_params={"vector": vector})
+        with pytest.raises(ConfigError, match="must be one of"):
+            tg_config(forcing="gravity")
+
+    def test_circulation_curve_is_a_circle(self):
+        with pytest.raises(ConfigError, match="kind"):
+            tg_config(circulation_curve={"kind": "circle"})
+        with pytest.raises(ConfigError, match="center"):
+            tg_config(circulation_curve={"center": [1.0, np.nan]})
+        assert StochasticSolver(tg_config(circulation_curve={})).curve is not None
+
     def test_divergent_initial_rejected(self):
-        cfg = tg_config(initial="sine_mode", initial_params={"mode": 1})
-        with pytest.raises(ConfigError):
-            StochasticSolver(cfg)
+        with pytest.raises(ConfigError, match="divergence-free"):
+            tg_config(initial="sine_mode", initial_params={"mode": 1})
 
 
 class TestTrivialRuns:
@@ -178,13 +194,14 @@ class TestSolverInvariants:
         assert res.diagnostics.column("max_det_dev").max() <= 1e-3
 
     def test_cfl_violation_raised(self):
-        cfg = tg_config(dt=0.05, t_end=0.05, cfl_max=0.2)
+        cfg = tg_config(dt=0.05, t_end=0.05)  # CFL 0.51
         with pytest.raises(CFLViolation):
             run(cfg)
 
     def test_non_invertible_raised(self):
-        cfg = tg_config(newton_max_iter=1, inversion_tol_factor=1e-14, t_end=5e-3)
-        with pytest.raises(NonInvertible):
+        # a tolerance below rounding cannot be met within MAX_UPDATES updates
+        cfg = tg_config(inversion_tol_factor=1e-17, t_end=5e-3)
+        with pytest.raises(NonInvertible, match="stalled"):
             run(cfg)
 
     def test_nan_velocity_raises_typed_error(self):
@@ -197,7 +214,7 @@ class TestSolverInvariants:
 
     def test_partial_outputs_flushed_on_abort(self, tmp_path):
         out = tmp_path / "aborted"
-        cfg = tg_config(dt=0.05, t_end=0.25, cfl_max=1e-6, output_dir=str(out))
+        cfg = tg_config(dt=0.05, t_end=0.25, output_dir=str(out))
         with pytest.raises(CFLViolation):
             run(cfg)
         assert (out / "diag.csv").exists()
@@ -500,8 +517,7 @@ class TestCirculationDiagnostics:
         cfg = tg_config(
             t_end=0.02,
             realizations=8,
-            circulation_curve={"kind": "circle", "center": [np.pi, np.pi], "radius": 1.0},
-            circulation_realizations=2,
+            circulation_curve={"center": [np.pi, np.pi], "radius": 1.0},
             output_dir=str(tmp_path / "c"),
         )
         res = run(cfg)
@@ -516,7 +532,7 @@ class TestCirculationDiagnostics:
             n=32,
             t_end=0.02,
             realizations=8,
-            circulation_curve={"kind": "circle"},
+            circulation_curve={},
             output_dir=str(tmp_path),
         )
         solver = StochasticSolver(cfg)
