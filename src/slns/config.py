@@ -36,7 +36,7 @@ dir = out/burgers1d
 snapshot_interval = 0
 probes = 1.57 ; 3.14 ; 4.71
 
-[compare]                  # default oracle and gates of `slns compare`
+[compare]                  # default oracle and gates of `slns compare`, checked on load
 oracle = cole_hopf
 rel_l2_max = 0.02
 linf_max = 0.05
@@ -52,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .solver import SolverConfig
+from .solver import ORACLES, SolverConfig
 
 # every scalar field is a [run] key, typed by its default, except those of other sections
 _RUN_KEYS = {
@@ -60,8 +60,8 @@ _RUN_KEYS = {
     for f in dataclasses.fields(SolverConfig)
     if isinstance(f.default, (int, float, str)) and f.name not in ("initial", "snapshot_interval")
 }
-# [compare] gate -> the column of compare_<oracle>.csv it bounds
-COMPARE_GATES = {"l2_max": "l2", "rel_l2_max": "rel_l2", "linf_max": "linf"}
+NORMS = ("l2", "rel_l2", "linf")  # the columns of compare_<oracle>.csv after time
+COMPARE_GATES = {f"{n}_max": n for n in NORMS}  # [compare] gate -> the column it bounds
 
 
 def _parse_scalar(text: str):
@@ -188,7 +188,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> SolverConfig
         if items:
             raise ConfigError(f"unknown [output] keys: {sorted(items)}")
 
-    # [compare] is consumed by the CLI, not the solver
+    _compare_section(parser)  # read by compare_gates; checked here so every subcommand rejects it
     try:
         return SolverConfig(**kwargs)
     except TypeError as exc:
@@ -201,7 +201,12 @@ def compare_gates(path: str | Path, overrides: dict | None = None) -> dict:
     ``overrides`` apply as in :func:`load_config`; the keys are ``oracle``
     and the numeric gates ``l2_max``, ``rel_l2_max`` and ``linf_max``.
     """
-    parser = _read(path, overrides)
+    return _compare_section(_read(path, overrides))
+
+
+def _compare_section(parser: configparser.ConfigParser) -> dict:
+    """The ``[compare]`` section, checked: ``oracle`` is one of
+    :data:`~slns.solver.ORACLES`, every gate a finite number, no other key."""
     gates = dict(parser.items("compare")) if parser.has_section("compare") else {}
     for key, raw in gates.items():
         if key in COMPARE_GATES:
@@ -210,6 +215,8 @@ def compare_gates(path: str | Path, overrides: dict | None = None) -> dict:
                 raise ConfigError(f"[compare] {key} must be finite, got {raw!r}")
         elif key != "oracle":
             raise ConfigError(f"unknown [compare] key {key!r}")
+        elif raw not in ORACLES:
+            raise ConfigError(f"[compare] oracle must be one of {ORACLES}, got {raw!r}")
     return gates
 
 

@@ -256,15 +256,7 @@ class FlowEnsemble:
         self.order = order
         self.tol = DEFAULT_TOL_FACTOR * grid.length if tol is None else tol
         self.workers = workers
-        d = grid.dim
-        self.xi = np.zeros((d,) + grid.shape)
-        self.shifts = np.zeros((realizations, d))
-        self.beta: np.ndarray | None = np.zeros((d,) + grid.shape)
-        self.steps_in_window = 0
-        self.chi: np.ndarray | None = None
-        self._integrands: dict = {}
-        self._label_splines: dict = {}
-        self._det_dev: float | None = 0.0
+        self.reset()
 
     # -- representation helpers ------------------------------------------
 
@@ -282,7 +274,6 @@ class FlowEnsemble:
         self.xi = np.zeros((d,) + self.grid.shape)
         self.shifts = np.zeros((self.m, d))
         self.beta = np.zeros((d,) + self.grid.shape)
-        self.steps_in_window = 0
         self.chi = None
         self._integrands = {}
         self._label_splines = {}
@@ -296,9 +287,6 @@ class FlowEnsemble:
     def xi_general(self) -> np.ndarray:
         """Periodic core displacements as a read-only ``(M, d) + shape`` view."""
         return np.broadcast_to(self.xi, (self.m, self.grid.dim) + self.grid.shape)
-
-    def is_identity(self) -> bool:
-        return self.steps_in_window == 0
 
     # -- advancing ---------------------------------------------------------
 
@@ -322,30 +310,26 @@ class FlowEnsemble:
         grid = self.grid
         d = grid.dim
         new = self._spawn()
-        # zero drift leaves the cores alone: the step is a pure translation
-        if u_values.any():
-            # one deterministic core while every shift is zero, else one map
-            # per realization evaluated at its shifted points
-            shared = self.mode == "shared" and not self.shifts.any()
-            xi, lead = (self.xi, ()) if shared else (self.xi_general(), (self.m,))
-            pts = xi.reshape(lead + (d, -1)) + grid.coordinates().reshape(d, -1)
-            if not shared:
-                pts = pts + self.shifts[:, :, None]
-            flat = np.moveaxis(pts, -2, 0).reshape(d, -1)
-            at_nodes = shared and not xi.any()  # identity core: no interpolation
-            if not at_nodes or stages == 2:
-                drift = FieldInterpolator(grid, u_values, order=self.order)
-            k1 = u_values.reshape(d, -1) if at_nodes else drift.at(flat)
-            if stages == 1:
-                incr = dt * k1
-            else:
-                k2 = drift.at(flat + dt * k1)
-                incr = (0.5 * dt) * (k1 + k2)
-            incr = np.moveaxis(incr.reshape((d,) + lead + (-1,)), 0, -2)
-            new.xi = xi + incr.reshape(lead + (d,) + grid.shape)
-
+        # one deterministic core while every shift is zero, else one map per
+        # realization evaluated at its shifted points
+        shared = self.mode == "shared" and not self.shifts.any()
+        xi, lead = (self.xi, ()) if shared else (self.xi_general(), (self.m,))
+        pts = xi.reshape(lead + (d, -1)) + grid.coordinates().reshape(d, -1)
+        if not shared:
+            pts = pts + self.shifts[:, :, None]
+        flat = np.moveaxis(pts, -2, 0).reshape(d, -1)
+        at_nodes = shared and not xi.any()  # identity core: no interpolation
+        if not at_nodes or stages == 2:
+            drift = FieldInterpolator(grid, u_values, order=self.order)
+        k1 = u_values.reshape(d, -1) if at_nodes else drift.at(flat)
+        if stages == 1:
+            incr = dt * k1
+        else:
+            k2 = drift.at(flat + dt * k1)
+            incr = (0.5 * dt) * (k1 + k2)
+        incr = np.moveaxis(incr.reshape((d,) + lead + (-1,)), 0, -2)
+        new.xi = xi + incr.reshape(lead + (d,) + grid.shape)
         new.shifts = self.shifts if noise is None else self.shifts + noise
-        new.steps_in_window = self.steps_in_window + 1
         return new
 
     # -- inversion ----------------------------------------------------------

@@ -99,11 +99,7 @@ def _recover(
     """
     ws = workspace(flow.grid)
     vals = _integrand(flow, label_values, weber)
-    per_realization = vals.ndim == flow.grid.dim + 2
-    if not flow.shifts.any():
-        mean = vals.mean(axis=0) if per_realization else vals
-        return project_values(mean, ws) if project else mean.copy()
-    if per_realization:
+    if vals.ndim == flow.grid.dim + 2:
         coeffs = shift_mean_coeffs(ws.fft(vals), flow.shifts, ws)
     else:
         coeffs = ws.fft(vals) * flow.shift_multiplier(ws)
@@ -119,10 +115,9 @@ def realization_field(
     ws = workspace(flow.grid)
     vals = _integrand(flow, label_values, weber)
     vals = vals if vals.ndim == flow.grid.dim + 1 else vals[m]
-    vals = project_values(vals, ws) if project else vals.copy()
-    if flow.shifts[m].any():
-        return translate_batch(vals[None], flow.shifts[m : m + 1], ws)[0]
-    return vals
+    if project:
+        vals = project_values(vals, ws)
+    return translate_batch(vals[None], flow.shifts[m : m + 1], ws)[0]
 
 
 def probe_spread(
@@ -215,7 +210,7 @@ def forcing_increment(flow: FlowEnsemble, forcing, t: float) -> np.ndarray:
     grid = flow.grid
     d = grid.dim
     coords = grid.coordinates().reshape(d, -1)
-    if flow.is_identity():
+    if not (flow.xi.any() or flow.shifts.any()):
         return np.asarray(forcing(coords.reshape((d,) + grid.shape), t))  # grad X = I
     pts = flow.xi_general().reshape(flow.m, d, -1) + coords[None] + flow.shifts[:, :, None]
     fvals = np.stack(

@@ -80,11 +80,15 @@ def abc_flow(grid: PeriodicGrid, a: float = 1.0, b: float = 1.0, c: float = 1.0)
 
 
 def sine_mode(grid: PeriodicGrid, mode: int = 1, component: int = 0, amplitude: float = 1.0) -> Field:
-    """Vector field with one sine mode along one axis in one component."""
+    """Vector field with one sine mode along one axis in one component;
+    ``mode`` must be a nonzero whole number, so the field is periodic."""
+    if not (float(mode).is_integer() and mode != 0 and component in range(grid.dim)):
+        raise ValueError(f"sine_mode needs a nonzero whole mode and 0 <= component < {grid.dim}, "
+                         f"got mode={mode!r}, component={component!r}")
     k = _TWO_PI * mode / grid.length
     coords = grid.coordinates()
     vals = np.zeros((grid.dim,) + grid.shape)
-    vals[component] = amplitude * np.sin(k * coords[0])
+    vals[int(component)] = amplitude * np.sin(k * coords[0])
     return Field(grid, vals)
 
 

@@ -63,6 +63,7 @@ EQUATIONS = ("navier_stokes", "burgers", "euler", "lans_alpha")
 BACKENDS = ("direct_sde", "translated_flow")
 INTERPOLATIONS = {"cubic": 3, "quintic": 5}  # name -> spline order
 FORCINGS = ("steady_taylor_green", "constant")
+ORACLES = ("cole_hopf", "spectral_ns", "analytic")  # see oracle_solution
 CFL_MAX = 0.5  # a step fails when dt max|u| / h exceeds this
 CIRCULATION_REALIZATIONS = 2  # realizations whose circulation a probe reports
 
@@ -452,9 +453,7 @@ class StochasticSolver:
         # of (grad^T X) f(X) over the window so far
         label_u = self.labels_u
         if self.forcing is not None:
-            inc = forcing_increment(self.flow, self.forcing, self.t)
-            if inc.any():
-                label_u = self.labels_u + cfg.dt * inc
+            label_u = self.labels_u + cfg.dt * forcing_increment(self.flow, self.forcing, self.t)
 
         drift = self.u_values
         chi = None
@@ -642,20 +641,28 @@ def _sha256(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-def oracle_solution(config: SolverConfig, t: float, spectral: bool = False) -> Field | None:
-    """Deterministic reference at time ``t`` for configs that have one, else None.
+def oracle_solution(config: SolverConfig, t: float, oracle: str = "analytic") -> Field:
+    """Deterministic reference at time ``t`` by the named oracle of :data:`ORACLES`.
 
-    The closed form where one exists: Cole-Hopf for 1D sine-mode Burgers
-    (``nu > 0``), the Taylor-Green field unforced or under
-    ``steady_taylor_green`` forcing. Otherwise, and for any incompressible
-    run when ``spectral`` is set, :func:`spectral_ns_run` with the config's
-    forcing and the step ``t / ceil(t / min(dt, 1e-2))``.
+    * ``cole_hopf``: the Cole-Hopf solution of 1D Burgers from ``sine_mode``
+      data, for ``nu > 0``;
+    * ``spectral_ns``: :func:`spectral_ns_run` of an incompressible run, with
+      the config's forcing and the step ``t / ceil(t / min(dt, 1e-2))``;
+    * ``analytic``: the closed form where one exists (``cole_hopf``, or the
+      Taylor-Green field unforced or under ``steady_taylor_green``
+      forcing), else ``spectral_ns``.
+
+    A :exc:`ConfigError` says why the named oracle does not apply.
     """
+    if oracle not in ORACLES:
+        raise ConfigError(f"oracle must be one of {ORACLES}, got {oracle!r}")
     grid = config.grid()
-    incompressible = config.equation in ("navier_stokes", "euler")
-    if config.equation == "burgers" and config.dim == 1 and config.initial == "sine_mode":
-        if spectral or config.nu <= 0:
-            return None
+    sine_burgers = (config.equation, config.dim, config.initial) == ("burgers", 1, "sine_mode")
+    if oracle == "cole_hopf" or (oracle == "analytic" and sine_burgers):
+        if not sine_burgers:
+            raise ConfigError("cole_hopf oracle needs a 1D burgers run with sine_mode initial data")
+        if config.nu <= 0:
+            raise ConfigError("cole_hopf oracle needs nu > 0")
         mode = config.initial_params.get("mode", 1)
         amp = config.initial_params.get("amplitude", 1.0)
         k = 2.0 * np.pi * mode / config.length
@@ -666,11 +673,13 @@ def oracle_solution(config: SolverConfig, t: float, spectral: bool = False) -> F
         except ValueError as exc:
             raise ConfigError(f"cole_hopf oracle: {exc}") from None
         return Field(grid, vals[np.newaxis])
+    if config.equation not in ("navier_stokes", "euler"):
+        raise ConfigError(f"no {oracle} oracle for equation={config.equation}: "
+                          "the spectral reference needs an incompressible run")
     if (
-        incompressible
+        oracle == "analytic"
         and config.initial == "taylor_green_2d"
         and config.forcing in (None, "steady_taylor_green")
-        and not spectral
     ):
         # the forcing holds its own amplitude steady; the rest decays as a
         # Stokes eigenmode (the advection of the cellular field is a gradient)
@@ -678,8 +687,6 @@ def oracle_solution(config: SolverConfig, t: float, spectral: bool = False) -> F
         held = config.forcing_params.get("amplitude", 1.0) if config.forcing else 0.0
         decay = np.exp(-taylor_green_decay_rate(config.length, config.nu) * t)
         return taylor_green_2d(grid, held + (amp - held) * decay)
-    if not incompressible:
-        return None
     u0 = config.initial_field()
     if t == 0:
         return u0
@@ -731,8 +738,6 @@ def convergence_study(
     if axis != "realizations":
         if reference == "oracle":
             ref = oracle_solution(replace(config, n=cfgs[-1].n), config.t_end)
-            if ref is None:
-                raise ConfigError("no oracle available for this configuration")
         else:
             ref = run(cfgs.pop()).velocity
 

@@ -357,8 +357,19 @@ radius = 1.0
             TG_CFG.replace("name = taylor_green_2d", "name = sine_mode"),  # not divergence-free
             TG_CFG.replace("name = taylor_green_2d", "name = taylor_green_2d\namplitude = nan"),
             BURGERS_CFG + "\n[forcing]\nname = steady_taylor_green\n",  # a 2D forcing
+            # sine_mode parameters it cannot honour
+            BURGERS_CFG.replace("mode = 1", "mode = 1\ncomponent = 1"),
+            TG_CFG.replace("name = taylor_green_2d", "name = sine_mode\ncomponent = -1"),
+            BURGERS_CFG.replace("mode = 1", "mode = 0"),
+            BURGERS_CFG.replace("mode = 1", "mode = 1.5"),  # not periodic
+            # a bad [compare] section fails every subcommand, info included
+            BURGERS_CFG.replace("oracle = cole_hopf", "oracle = bogus"),
+            BURGERS_CFG.replace("rel_l2_max = 0.2", "rel_l2_max = nan"),
+            BURGERS_CFG.replace("rel_l2_max = 0.2", "rel_l2_mx = 0.2"),
         ],
-        ids=["divergent-initial", "nan-initial", "1d-steady-taylor-green"],
+        ids=["divergent-initial", "nan-initial", "1d-steady-taylor-green",
+             "sine-component-1-in-1d", "sine-component-minus-1", "sine-mode-0",
+             "sine-mode-1.5", "bogus-oracle", "nan-gate", "unknown-compare-key"],
     )
     def test_info_rejects_what_run_rejects(self, tmp_path, capsys, text):
         p = write_cfg(tmp_path, text)
@@ -429,6 +440,13 @@ radius = 1.0
         assert main(["convergence", str(cfg), "--axis", "dt", *args]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", ["compare.rel_l2_max=inf", "compare.bogus=1"])
+    def test_convergence_checks_compare_section(self, tmp_path, capsys, override):
+        p = write_cfg(tmp_path, BURGERS_CFG)
+        assert main(["convergence", str(p), "--axis", "realizations",
+                     "--set", override]) == 1
+        assert "[compare]" in capsys.readouterr().err
+
     def test_convergence_command(self, tmp_path, capsys):
         p = write_cfg(tmp_path, BURGERS_CFG)
         out_csv = tmp_path / "conv.csv"
@@ -446,6 +464,8 @@ radius = 1.0
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         assert "equations" in out and "SLNSF1" in out
+        # the oracles that `slns compare --oracle` accepts
+        assert "oracles: cole_hopf, spectral_ns, analytic\n" in out
         p = write_cfg(tmp_path, BURGERS_CFG)
         assert main(["info", str(p)]) == 0
         assert "valid" in capsys.readouterr().out
@@ -483,6 +503,12 @@ class TestCompareOracles:
         main(["run", str(p)])
         assert main(["compare", str(tmp_path / "out"), "--oracle", "spectral_ns"]) == 0
         assert (tmp_path / "out" / "compare_spectral_ns.csv").exists()
+
+    def test_bogus_config_oracle_fails_before_the_run(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, TG_CFG + "\n[compare]\noracle = bogus\n")
+        assert main(["run", str(p)]) == 1
+        assert "bogus" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_oracle_is_the_default(self, tmp_path, capsys):
         p = write_cfg(tmp_path, TG_CFG + "\n[compare]\noracle = spectral_ns\n")

@@ -87,7 +87,6 @@ class TestInvertCore:
         # Newton solve sees a genuinely different problem
         forced = FlowEnsemble(grid, 1, tol=1e-12 * L)
         forced.xi = shifted.xi + c[:, None, None]
-        forced.steps_in_window = 1
         forced.invert()
         alpha_direct = forced.beta  # shifts are zero here: alpha == beta
         shifted.invert()
@@ -116,7 +115,6 @@ class TestInvertCore:
             invert_core(grid, xi)
         fe = FlowEnsemble(grid, 2)
         fe.xi = xi
-        fe.steps_in_window = 1
         with pytest.raises(NonInvertible, match="map folds"):
             fe.invert()
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import alpha_general, composition_residual, fit_order, taylor_green_2d_vorticity
+import slns.recovery
 from slns.flowmap import FlowEnsemble
 from slns.grid import Field, PeriodicGrid
 from slns.recovery import (
@@ -19,7 +20,13 @@ from slns.recovery import (
 )
 from slns.reference import random_band_limited, taylor_green_2d
 from slns.solver import SolverConfig, StochasticSolver
-from slns.spectral import curl_values, divergence_values, helmholtz_values, workspace
+from slns.spectral import (
+    curl_values,
+    divergence_values,
+    helmholtz_values,
+    project_values,
+    workspace,
+)
 from slns.wiener import WienerEnsemble
 
 L = 2 * np.pi
@@ -247,7 +254,7 @@ class TestForcing:
         def f(points, t):
             return np.zeros((2,) + points.shape[1:])
 
-        # the solver keeps the label array itself when the increment is zero
+        # a zero force adds nothing to the labels, at the identity and on moving maps
         for flow in (FlowEnsemble(grid2d, 2), fe):
             for t in (0.0, 0.005, 0.01):
                 assert not forcing_increment(flow, f, t).any()
@@ -460,6 +467,20 @@ class TestIntegrandReuse:
         assert not calls
         assert spread.shape == (4, 2, 2)
         assert np.max(np.abs(u - singles.mean(axis=0))) <= 1e-13
+
+    @pytest.mark.parametrize("steps", [1, 2])  # shared core, then one map per realization
+    def test_zero_shifts_average_the_core_frame_integrand(self, grid2d, steps):
+        # with every shift zero the characteristic function is exactly 1, so
+        # the recovery is the plain mean of the core-frame integrands
+        u0 = taylor_green_2d(grid2d)
+        fe = noisy_flow(grid2d, 3, nu=0.05, dt=5e-3, drift=u0.values, steps=steps)
+        fe.shifts = np.zeros_like(fe.shifts)
+        ws = workspace(grid2d)
+        for recover, weber in ((burgers_velocity, False), (weber_velocity, True)):
+            plain = slns.recovery._integrand(fe, u0.values, weber)
+            plain = plain.mean(axis=0) if steps == 2 else plain
+            expected = project_values(plain, ws) if weber else plain
+            assert np.max(np.abs(recover(fe, u0.values) - expected)) <= 1e-14, recover.__name__
 
     def test_results_do_not_alias_the_cache(self, grid2d):
         u0 = taylor_green_2d(grid2d)

@@ -473,7 +473,7 @@ class TestOracleSolution:
         cfg = tg_config(n=32, **kw)
         for t in (0.05, 0.5):
             closed = oracle_solution(cfg, t)
-            assert relative_l2_error(oracle_solution(cfg, t, spectral=True), closed) <= 1e-12
+            assert relative_l2_error(oracle_solution(cfg, t, "spectral_ns"), closed) <= 1e-12
 
     def test_generic_ns_oracle_runs(self):
         cfg = tg_config(
@@ -482,6 +482,19 @@ class TestOracleSolution:
         )
         ref = oracle_solution(cfg, 0.05)
         assert ref is not None and ref.components == 2
+
+    @pytest.mark.parametrize(
+        "cfg, oracle, reason",
+        [
+            (tg_config(), "cole_hopf", "1D burgers"),
+            (burgers_config(), "spectral_ns", "incompressible"),
+            (tg_config(equation="lans_alpha", alpha=0.5), "analytic", "lans_alpha"),
+            (burgers_config(nu=0.0), "analytic", "nu > 0"),
+        ],
+    )
+    def test_oracle_that_does_not_apply_says_why(self, cfg, oracle, reason):
+        with pytest.raises(ConfigError, match=reason):
+            oracle_solution(cfg, 0.05, oracle)
 
 
 class TestForcedWindows:
