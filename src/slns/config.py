@@ -5,8 +5,12 @@ rejected so typos fail loudly. CLI flags override file values, and every
 run emits the fully materialized ``effective.cfg`` next to its outputs so
 a run directory is always reproducible from itself.
 
-A point or vector is comma-separated numbers, and ``;`` separates probe
-points, so only ``#`` starts a comment after a value.
+This module only turns text into plain values: a number (or ``true`` /
+``false``), text, a comma-separated list, or ``;``-separated points, each
+a comma list (so only ``#`` starts a comment after a value). ``[output]
+dir`` stays text. :class:`~slns.solver.SolverConfig` checks every value,
+its type included, as it does for the Python API. A vector has one number
+per dimension; in 1D it may be that one number.
 
 ```
 [run]                      # solver parameters (see SolverConfig)
@@ -27,7 +31,7 @@ amplitude = 1.0
 name = constant
 vector = 0.1               # one component per dimension
 
-[circulation]              # optional per-step circulation probe: a circle
+[circulation]              # optional per-step circulation probe, 2D only: a circle
 center = 3.14159, 3.14159  # default: the box centre
 radius = 1.0
 
@@ -54,59 +58,37 @@ import numpy as np
 from .errors import ConfigError
 from .solver import ORACLES, SolverConfig
 
-# every scalar field is a [run] key, typed by its default, except those of other sections
-_RUN_KEYS = {
-    f.name: type(f.default)
+# every scalar field is a [run] key, in field order, except those of other sections
+_RUN_KEYS = tuple(
+    f.name
     for f in dataclasses.fields(SolverConfig)
     if isinstance(f.default, (int, float, str)) and f.name not in ("initial", "snapshot_interval")
-}
+)
 NORMS = ("l2", "rel_l2", "linf")  # the columns of compare_<oracle>.csv after time
 COMPARE_GATES = {f"{n}_max": n for n in NORMS}  # [compare] gate -> the column it bounds
+_OUTPUT_KEYS = {"dir": "output_dir", "snapshot_interval": "snapshot_interval", "probes": "probes"}
+_BOOLS = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
 
 
-def _parse_scalar(text: str):
+def _parse_value(text: str):
+    """``text`` as a plain value: a list of points (each a list) when it
+    holds ``;``, a list when it holds ``,``, else a bool, int, float or the
+    stripped text. List items are numbers or text."""
+    if ";" in text:
+        return [[_number(v) for v in p.split(",")] for p in text.split(";") if p.strip()]
+    if "," in text:
+        return [_number(v) for v in text.split(",")]
+    return _BOOLS.get(text.strip().lower(), _number(text))
+
+
+def _number(text: str):
     text = text.strip()
-    low = text.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def _parse_typed(raw: str, want: type, what: str):
-    """``raw`` as a value of type ``want`` (str passes through)."""
-    val = _parse_scalar(raw)
-    if want is int:
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ConfigError(f"{what} must be an integer")
-    elif want is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"{what} must be a number")
-        val = float(val)
-    return val
-
-
-def _parse_vector(text: str, dim: int, what: str) -> list:
-    """``dim`` comma-separated numbers, as :func:`_fmt_value` writes them."""
-    try:
-        vals = [float(v) for v in text.split(",")]
-    except ValueError:
-        vals = []
-    if len(vals) != dim:
-        raise ConfigError(f"{what} {text.strip()!r} must be {dim} comma-separated numbers")
-    return vals
-
-
-def _parse_points(text: str, dim: int) -> list:
-    return [_parse_vector(c, dim, "probe point") for c in text.split(";") if c.strip()]
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 def _read(path: str | Path, overrides: dict | None) -> configparser.ConfigParser:
@@ -143,56 +125,33 @@ def load_config(path: str | Path, overrides: dict | None = None) -> SolverConfig
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
-    kwargs: dict = {}
-    if parser.has_section("run"):
-        for key, raw in parser.items("run"):
-            if key not in _RUN_KEYS:
-                raise ConfigError(f"unknown [run] key {key!r}")
-            kwargs[key] = _parse_typed(raw, _RUN_KEYS[key], f"[run] {key}")
+    def section(name: str) -> dict:
+        items = parser.items(name) if parser.has_section(name) else ()
+        return {k: _parse_value(v) for k, v in items}
 
-    dim = kwargs.get("dim", SolverConfig.dim)
+    kwargs = section("run")
+    for key in kwargs:
+        if key not in _RUN_KEYS:
+            raise ConfigError(f"unknown [run] key {key!r}")
     if parser.has_section("initial"):
-        items = dict(parser.items("initial"))
-        kwargs["initial"] = items.pop("name", SolverConfig.initial)
-        kwargs["initial_params"] = {k: _parse_scalar(v) for k, v in items.items()}
-
+        kwargs["initial_params"] = section("initial")
+        kwargs["initial"] = kwargs["initial_params"].pop("name", SolverConfig.initial)
     if parser.has_section("forcing"):
-        items = dict(parser.items("forcing"))
-        name = items.pop("name", None)
-        if name is not None:
-            kwargs["forcing"] = name
-        params = {k: _parse_scalar(v) for k, v in items.items()}
-        if "vector" in items:
-            params["vector"] = _parse_vector(items["vector"], dim, "[forcing] vector")
-        kwargs["forcing_params"] = params
-
+        kwargs["forcing_params"] = section("forcing")
+        if "name" in kwargs["forcing_params"]:
+            kwargs["forcing"] = kwargs["forcing_params"].pop("name")
     if parser.has_section("circulation"):
-        spec = dict(parser.items("circulation"))  # named_curve rejects other keys
-        if "center" in spec:
-            spec["center"] = _parse_vector(spec["center"], 2, "[circulation] center")
-        if "radius" in spec:
-            spec["radius"] = _parse_typed(spec["radius"], float, "[circulation] radius")
-        kwargs["circulation_curve"] = spec
-
-    if parser.has_section("output"):
-        items = dict(parser.items("output"))
-        if "dir" in items:
-            kwargs["output_dir"] = items.pop("dir")
-        if "snapshot_interval" in items:
-            kwargs["snapshot_interval"] = _parse_typed(
-                items.pop("snapshot_interval"), int, "[output] snapshot_interval"
-            )
-        if "probes" in items:
-            pts = _parse_points(items.pop("probes"), dim)
-            kwargs["probes"] = np.asarray(pts).T.tolist()
-        if items:
-            raise ConfigError(f"unknown [output] keys: {sorted(items)}")
+        kwargs["circulation_curve"] = section("circulation")  # named_curve rejects other keys
+    for key, raw in parser.items("output") if parser.has_section("output") else ():
+        if key not in _OUTPUT_KEYS:
+            raise ConfigError(f"unknown [output] key {key!r}")
+        # dir stays text, so a comma in a path is not split
+        kwargs[_OUTPUT_KEYS[key]] = raw if key == "dir" else _parse_value(raw)
+    if "probes" in kwargs:  # the file lists points, SolverConfig takes them as (dim, P) columns
+        kwargs["probes"] = np.array(kwargs["probes"], dtype=object, ndmin=2).T.tolist()
 
     _compare_section(parser)  # read by compare_gates; checked here so every subcommand rejects it
-    try:
-        return SolverConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return SolverConfig(**kwargs)
 
 
 def compare_gates(path: str | Path, overrides: dict | None = None) -> dict:
@@ -210,9 +169,11 @@ def _compare_section(parser: configparser.ConfigParser) -> dict:
     gates = dict(parser.items("compare")) if parser.has_section("compare") else {}
     for key, raw in gates.items():
         if key in COMPARE_GATES:
-            gates[key] = _parse_typed(raw, float, f"[compare] {key}")
-            if not np.isfinite(gates[key]):  # `worst > nan` never fails
-                raise ConfigError(f"[compare] {key} must be finite, got {raw!r}")
+            gate = _parse_value(raw)
+            # `worst > nan` never fails
+            if type(gate) not in (int, float) or not np.isfinite(gate):
+                raise ConfigError(f"[compare] {key} must be finite (a number), got {raw!r}")
+            gates[key] = float(gate)
         elif key != "oracle":
             raise ConfigError(f"unknown [compare] key {key!r}")
         elif raw not in ORACLES:

@@ -200,25 +200,31 @@ def transported_vorticity_3d(flow: FlowEnsemble, omega0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def forcing_increment(flow: FlowEnsemble, forcing, t: float) -> np.ndarray:
-    """``(grad^T X) f(X, t)`` for the current forward maps.
+def forcing_increment(flow: FlowEnsemble, forcing, t: float, weber: bool) -> np.ndarray:
+    """``f(X, t)``, weighted by ``grad^T X`` when ``weber`` is set, for the
+    current forward maps.
 
-    The forced Weber formula's label data is ``u0`` plus the time integral
-    of this field over the label window. It is shared ``(c,) + shape``
-    while the maps are the identity and ``(M, c) + shape`` once they move.
+    The forced formula's label data is ``u0`` plus the time integral of
+    this field over the label window: the Weber form for incompressible
+    flow, the plain one for Burgers, which transports ``u`` itself. It is
+    shared ``(c,) + shape`` while every realization has the one core and
+    no shift (always so at ``nu = 0``), else ``(M, c) + shape``.
     """
     grid = flow.grid
     d = grid.dim
-    coords = grid.coordinates().reshape(d, -1)
-    if not (flow.xi.any() or flow.shifts.any()):
-        return np.asarray(forcing(coords.reshape((d,) + grid.shape), t))  # grad X = I
-    pts = flow.xi_general().reshape(flow.m, d, -1) + coords[None] + flow.shifts[:, :, None]
+    shared = flow.mode == "shared" and not flow.shifts.any()
+    xi = flow.xi if shared else flow.xi_general()
+    pts = xi + grid.coordinates()
+    if not shared:
+        pts = pts + flow.shifts.reshape((flow.m, d) + (1,) * d)
     fvals = np.stack(
-        [np.asarray(forcing(pts[i].reshape((d,) + grid.shape), t)) for i in range(flow.m)]
-    )
-    gx = np.broadcast_to(flow.grad_x_core(), (flow.m, d, d) + grid.shape)
-    # (grad^T X) f, with [m, j, i] = d_i X_j
-    return np.einsum("mji...,mj...->mi...", gx, fvals)
+        [np.asarray(forcing(p, t)) for p in pts.reshape((-1, d) + grid.shape)]
+    ).reshape(pts.shape)
+    if not weber:
+        return fvals
+    gx = flow.grad_x_core()  # [.., j, i] = d_i X_j
+    gp, vp = "m" * (gx.ndim - d - 2), "m" * (fvals.ndim - d - 1)
+    return np.einsum(f"{gp}ji...,{vp}j...->{vp}i...", gx, fvals)
 
 
 # ---------------------------------------------------------------------------

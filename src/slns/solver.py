@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import time as _time
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,8 @@ FORCINGS = ("steady_taylor_green", "constant")
 ORACLES = ("cole_hopf", "spectral_ns", "analytic")  # see oracle_solution
 CFL_MAX = 0.5  # a step fails when dt max|u| / h exceeds this
 CIRCULATION_REALIZATIONS = 2  # realizations whose circulation a probe reports
+# a field whose default is an int, float or str takes these values (bool aside) as that type
+_FIELD_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
 
 DIAG_COLUMNS = (
     "step",
@@ -123,6 +126,12 @@ class SolverConfig:
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            kind, value = type(f.default), getattr(self, f.name)
+            if kind in _FIELD_TYPES:
+                if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
+                    raise ConfigError(f"{f.name} must be of type {kind.__name__}, got {value!r}")
+                setattr(self, f.name, kind(value))
         if self.equation not in EQUATIONS:
             raise ConfigError(f"equation must be one of {EQUATIONS}, got {self.equation!r}")
         if self.backend not in BACKENDS:
@@ -136,6 +145,8 @@ class SolverConfig:
             raise ConfigError("nu must be >= 0")
         if self.alpha < 0:
             raise ConfigError("alpha must be >= 0")
+        if self.alpha != 0 and self.equation != "lans_alpha":
+            raise ConfigError(f"alpha is read only by equation=lans_alpha, not {self.equation}")
         if self.dt <= 0 or self.t_end < 0:
             raise ConfigError("dt must be positive and t_end nonnegative")
         if self.inversion_tol_factor <= 0:
@@ -224,6 +235,7 @@ def _finite_numbers(value, shape: tuple, what: str) -> np.ndarray:
     numbers of that shape is a ConfigError."""
     try:
         arr = np.asarray(value)
+        arr = arr.reshape(shape) if arr.shape == () and shape == (1,) else arr  # 1D: one number
         ok = arr.dtype.kind in "iuf" and arr.shape == shape and np.isfinite(arr).all()
     except ValueError:  # ragged
         ok = False
@@ -449,11 +461,16 @@ class StochasticSolver:
             dw = self.ensemble.increments(self.step_index, cfg.dt)
             noise = np.sqrt(2.0 * cfg.nu) * dw
 
-        # label data of the forced Weber formula: u0 plus the left-point sum
-        # of (grad^T X) f(X) over the window so far
+        # label data of the forced formula: u0 plus the left-point sum of
+        # (grad^T X) f(X) (Weber) or f(X) (Burgers) over the window so far;
+        # every Picard pass pins its mean to the one at t + dt
         label_u = self.labels_u
         if self.forcing is not None:
-            label_u = self.labels_u + cfg.dt * forcing_increment(self.flow, self.forcing, self.t)
+            inc = forcing_increment(self.flow, self.forcing, self.t, cfg.equation != "burgers")
+            label_u = self.labels_u + cfg.dt * inc
+            self.mean_target = self.mean_target + cfg.dt * np.asarray(
+                self.forcing(self.grid.coordinates(), self.t)
+            ).mean(axis=tuple(range(1, 1 + self.grid.dim)))
 
         drift = self.u_values
         chi = None
@@ -478,10 +495,6 @@ class StochasticSolver:
         self.v_values = v_new
         self.u_values = u_new
         self.labels_u = label_u
-        if self.forcing is not None:
-            self.mean_target = self.mean_target + cfg.dt * np.asarray(
-                self.forcing(self.grid.coordinates(), self.t)
-            ).mean(axis=tuple(range(1, 1 + self.grid.dim)))
         if self.labels_omega is not None:
             self.omega_values = transported_vorticity_2d(trial, self.labels_omega)
         self.t += cfg.dt

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +144,19 @@ class TestConfigFile:
         save_effective(cfg, eff)
         assert load_config(eff) == cfg
 
+    def test_output_dir_stays_text(self, tmp_path):
+        # a comma in a path is not a list separator
+        p = write_cfg(tmp_path, TG_CFG, out="a,b")
+        assert load_config(p).output_dir == str(tmp_path / "a,b")
+
+    def test_one_number_is_a_1d_vector(self, tmp_path):
+        text = BURGERS_CFG + "\n[forcing]\nname = constant\nvector = 0.1\n"
+        cfg = load_config(write_cfg(tmp_path, text))
+        eff = tmp_path / "effective.cfg"
+        save_effective(cfg, eff)
+        assert load_config(eff) == cfg
+        assert "vector = 0.10000000000000001\n" in eff.read_text()
+
     def test_constant_forcing_vector_roundtrip(self, tmp_path):
         p = write_cfg(tmp_path, TG_CFG + CONSTANT_FORCING)
         cfg = load_config(p)
@@ -217,9 +233,10 @@ radius = 1.0
             "name = steady_taylor_green\namplitude = nan",
             "name = steady_taylor_green\namplitude = inf",
             "name = steady_taylor_green\namplitude = abc",
+            "name = constant\nvector = true, 0",
         ],
         ids=["amplitud", "quadrature", "nameless", "vector-nan", "vector-inf", "amplitude-nan",
-             "amplitude-inf", "amplitude-abc"],
+             "amplitude-inf", "amplitude-abc", "vector-bool"],
     )
     def test_unknown_forcing_key_exit_1(self, tmp_path, capsys, lines):
         p = write_cfg(tmp_path, TG_CFG + f"\n[forcing]\n{lines}\n")
@@ -237,6 +254,24 @@ radius = 1.0
         assert (tmp_path / "w1" / "diag.csv").read_bytes() == (
             tmp_path / "w4" / "diag.csv"
         ).read_bytes()
+
+    def test_run_files_independent_of_hash_seed(self, tmp_path):
+        # effective.cfg lists its keys in a fixed order: two processes with
+        # different string hashing write the same bytes
+        p = tmp_path / "run.cfg"
+        p.write_text(TG_CFG.format(out="out").replace("t_end = 0.02", "t_end = 0.01"))
+        src = str(Path(slns.config.__file__).resolve().parents[1])
+        outs = []
+        for hash_seed in ("1", "2"):
+            cwd = tmp_path / f"h{hash_seed}"
+            cwd.mkdir()
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-m", "slns.cli", "run", str(p)], cwd=cwd, env=env,
+                           check=True, capture_output=True)
+            outs.append([(cwd / "out" / name).read_bytes()
+                         for name in ("effective.cfg", "manifest.json")])
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize(
         "args",
@@ -315,18 +350,28 @@ radius = 1.0
             "circulation.center=a, b",
             "circulation.radius=x",
             "output.snapshot_interval=x",
+            # a value of the wrong type, as SolverConfig checks it
+            "run.n=64.0",
+            "run.seed=1.5",
+            "run.realizations=true",
+            "run.nu=abc",
+            "run.equation=1",
+            "output.snapshot_interval=2.5",
+            "output.probes=a,b",
         ],
     )
     def test_non_numeric_value_exit_1(self, tmp_path, capsys, override):
         p = write_cfg(tmp_path, TG_CFG)
         assert main(["run", str(p), "--set", override]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert override.split("=")[0].split(".")[1] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "override",
         [
             "run.nu=nan",  # `nu > 0` is false for NaN: a noise-free run
             "run.alpha=inf",
+            "run.alpha=0.5",  # read only by lans_alpha
             "run.inversion_tol_factor=nan",  # `rnorm > nan` never holds
             "run.inversion_tol_factor=-1e-8",
             "run.dt=nan",
@@ -366,10 +411,12 @@ radius = 1.0
             BURGERS_CFG.replace("oracle = cole_hopf", "oracle = bogus"),
             BURGERS_CFG.replace("rel_l2_max = 0.2", "rel_l2_max = nan"),
             BURGERS_CFG.replace("rel_l2_max = 0.2", "rel_l2_mx = 0.2"),
+            BURGERS_CFG.replace("seed = 3", "seed = 3\nalpha = 2.0"),  # read only by lans_alpha
         ],
         ids=["divergent-initial", "nan-initial", "1d-steady-taylor-green",
              "sine-component-1-in-1d", "sine-component-minus-1", "sine-mode-0",
-             "sine-mode-1.5", "bogus-oracle", "nan-gate", "unknown-compare-key"],
+             "sine-mode-1.5", "bogus-oracle", "nan-gate", "unknown-compare-key",
+             "alpha-on-burgers"],
     )
     def test_info_rejects_what_run_rejects(self, tmp_path, capsys, text):
         p = write_cfg(tmp_path, text)

@@ -257,7 +257,7 @@ class TestForcing:
         # a zero force adds nothing to the labels, at the identity and on moving maps
         for flow in (FlowEnsemble(grid2d, 2), fe):
             for t in (0.0, 0.005, 0.01):
-                assert not forcing_increment(flow, f, t).any()
+                assert not forcing_increment(flow, f, t, weber=True).any()
 
     def test_frozen_identity_constant_force(self, grid2d):
         u0 = taylor_green_2d(grid2d)
@@ -270,7 +270,7 @@ class TestForcing:
 
         dt, steps = 0.02, 7
         for j in range(steps):
-            inc = forcing_increment(fe, f, j * dt)
+            inc = forcing_increment(fe, f, j * dt, weber=True)
             assert inc.shape == (2,) + grid2d.shape  # shared while X = I
             labels = labels + dt * inc
         exact = u0.values + steps * dt * cvec[:, None, None]
@@ -283,7 +283,19 @@ class TestForcing:
         def f(points, t):
             return np.stack([np.sin(points[0]), np.cos(points[1])])
 
-        assert forcing_increment(fe, f, 0.0).shape == (3, 2) + grid2d.shape
+        assert forcing_increment(fe, f, 0.0, weber=True).shape == (3, 2) + grid2d.shape
+
+    def test_plain_increment_is_the_force_at_the_maps(self, grid2d):
+        # Burgers transports u itself: its label increment is f(X), with
+        # X_m = I + xi + s_m, not the Weber form (grad^T X) f(X)
+        fe = noisy_flow(grid2d, 3, nu=0.05, dt=5e-3, seed=9, drift=taylor_green_2d(grid2d).values)
+
+        def f(points, t):
+            return np.stack([np.sin(points[0]), np.cos(points[1])])
+
+        pts = fe.xi_general() + grid2d.coordinates() + fe.shifts[:, :, None, None]
+        expected = np.stack([f(p, 0.0) for p in pts])
+        assert np.array_equal(forcing_increment(fe, f, 0.0, weber=False), expected)
 
 
 class TestCirculation:

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,38 @@ class TestConfigValidation:
     def test_divergent_initial_rejected(self):
         with pytest.raises(ConfigError, match="divergence-free"):
             tg_config(initial="sine_mode", initial_params={"mode": 1})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 64.0), ("dt", "0.01"), ("realizations", 8.0), ("seed", 1.5),
+         ("picard_iters", 2.0), ("substeps", 1.0), ("snapshot_interval", 2.5),
+         ("reset_interval", True), ("nu", False), ("backend", 1)],
+    )
+    def test_wrong_type_names_the_field(self, field, value):
+        # the Python API rejects what a config file cannot hold, by name,
+        # before any step runs
+        with pytest.raises(ConfigError, match=field):
+            tg_config(**{field: value})
+        with pytest.raises(ConfigError, match=field):
+            dataclasses.replace(tg_config(), **{field: value})
+
+    def test_numbers_are_stored_as_the_field_type(self):
+        cfg = dataclasses.replace(tg_config(), n=np.int64(32), nu=0, t_end=np.float32(0.5))
+        assert (type(cfg.n), type(cfg.nu), type(cfg.t_end)) == (int, float, float)
+        assert cfg == tg_config(n=32, nu=0.0, t_end=0.5)
+
+    @pytest.mark.parametrize("make", [tg_config, burgers_config])
+    def test_alpha_only_for_lans_alpha(self, make):
+        # alpha filters the drift of lans_alpha only; elsewhere it was ignored
+        with pytest.raises(ConfigError, match="alpha"):
+            make(alpha=0.5)
+        assert tg_config(equation="lans_alpha", alpha=0.5).alpha == 0.5
+
+    def test_1d_vector_may_be_one_number(self):
+        for vector in (0.1, [0.1]):
+            cfg = burgers_config(forcing="constant", forcing_params={"vector": vector})
+            pts = cfg.grid().coordinates()
+            assert np.array_equal(cfg.forcing_fn()(pts, 0.0), np.full(pts.shape, 0.1))
 
 
 class TestTrivialRuns:
@@ -523,6 +556,45 @@ class TestForcedWindows:
         res = run(cfg)
         curl = curl_values(res.velocity.values, workspace(cfg.grid()))
         assert abs(res.diagnostics.column("max_vorticity")[-1] - np.max(np.abs(curl))) <= 1e-12
+
+
+    @pytest.mark.parametrize("dt", [1e-2, 5e-3])
+    def test_constant_forcing_mean_is_exact(self, dt):
+        # the spatial mean obeys d<u>/dt = <f>: each step's mean includes
+        # that step's forcing
+        cfg = SolverConfig(n=32, realizations=64, dt=dt, t_end=0.2, forcing="constant",
+                           forcing_params={"vector": [0.5, 0.0]})
+        mean = run(cfg).velocity.values.mean(axis=(1, 2))
+        assert np.max(np.abs(mean - [0.1, 0.0])) <= 1e-12
+
+    @pytest.mark.parametrize("reset_interval", [1, 10, 40])
+    def test_forced_inviscid_burgers_is_exact(self, reset_interval):
+        # u_t + u u_x = c has u(x, t) = v(x - c t^2 / 2, t) + c t, with v the
+        # unforced solution, here sin(a) along x = a + t sin(a); Burgers
+        # carries f(X) in its labels, not the Weber form (grad^T X) f(X)
+        c, t = 0.5, 0.2
+        cfg = burgers_config(n=256, nu=0.0, dt=2e-3, t_end=t, realizations=1,
+                             reset_interval=reset_interval, forcing="constant",
+                             forcing_params={"vector": c})
+        y = cfg.grid().axis() - 0.5 * c * t**2
+        a = y.copy()
+        for _ in range(50):
+            a -= (a + t * np.sin(a) - y) / (1.0 + t * np.cos(a))
+        exact = Field(cfg.grid(), (np.sin(a) + c * t)[np.newaxis])
+        assert relative_l2_error(run(cfg).velocity, exact) <= 1e-6
+
+    def test_noise_free_forced_window_keeps_shared_labels(self):
+        # at nu = 0 every realization is the one core with no shift, so the
+        # forced labels stay one field and M does not change a bit
+        base = dict(equation="euler", nu=0.0, n=32, t_end=0.05, reset_interval=20,
+                    forcing="constant", forcing_params={"vector": [0.3, 0.1]})
+        one = StochasticSolver(SolverConfig(realizations=1, **base))
+        many = StochasticSolver(SolverConfig(realizations=16, **base))
+        for _ in range(5):
+            one.step()
+            many.step()
+            assert many.labels_u.shape == (2,) + one.grid.shape
+        assert np.array_equal(one.u_values, many.u_values)
 
 
 class TestCirculationDiagnostics:
