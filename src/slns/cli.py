@@ -215,12 +215,12 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_info(args) -> int:
-    from .reference import _GENERATORS
+    from .reference import GENERATORS
 
     print(f"slns {__version__}")
     print(f"equations: {', '.join(EQUATIONS)}")
     print(f"backends: {', '.join(BACKENDS)}")
-    print(f"initial fields: {', '.join(sorted(_GENERATORS))}")
+    print(f"initial fields: {', '.join(sorted(GENERATORS))}")
     print(f"forcings: {', '.join(FORCINGS)}")
     print(f"oracles: {', '.join(ORACLES)}")
     print("snapshot format: SLNSF1 (little-endian, float64)")

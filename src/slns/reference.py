@@ -146,7 +146,7 @@ def random_band_limited(
     return Field(grid, vals)
 
 
-_GENERATORS = {
+GENERATORS = {
     "taylor_green_2d": taylor_green_2d,
     "taylor_green_3d": taylor_green_3d,
     "abc_flow": abc_flow,
@@ -158,10 +158,10 @@ _GENERATORS = {
 def analytic_field(name: str, grid: PeriodicGrid, **params) -> Field:
     """Field generator registry used by configs and the CLI."""
     try:
-        gen = _GENERATORS[name]
+        gen = GENERATORS[name]
     except KeyError:
         raise ValueError(
-            f"unknown field {name!r}; available: {sorted(_GENERATORS)}"
+            f"unknown field {name!r}; available: {sorted(GENERATORS)}"
         ) from None
     return gen(grid, **params)
 

@@ -17,6 +17,14 @@ start of the label window):
    keeps the composition meaningful while the inversion stays
    well-conditioned).
 
+The same property restarts every pass but the last in the label-reset
+frame: one shared identity map advanced by the step's noise, with the
+current momentum as labels. Those passes only supply ``u_new`` for the
+averaged drift; the last pass advances the window's own maps from the
+window's labels and is the one committed. A step inside a window thus
+inverts one shared core per predictor pass and the window's M cores
+once; at a window's first step the two frames coincide.
+
 The drift feeds the SDE whose ensemble average defines the drift: the
 fixed point is resolved per step, which is the standard discrete surrogate
 for the implicit (McKean) formulation.
@@ -28,6 +36,7 @@ operator is applied to any field.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import numbers
 import time as _time
@@ -49,6 +58,7 @@ from .recovery import (
     weber_velocity,
 )
 from .reference import (
+    GENERATORS,
     analytic_field,
     cole_hopf_burgers,
     spectral_ns_run,
@@ -67,8 +77,9 @@ FORCINGS = ("steady_taylor_green", "constant")
 ORACLES = ("cole_hopf", "spectral_ns", "analytic")  # see oracle_solution
 CFL_MAX = 0.5  # a step fails when dt max|u| / h exceeds this
 CIRCULATION_REALIZATIONS = 2  # realizations whose circulation a probe reports
-# a field whose default is an int, float or str takes these values (bool aside) as that type
-_FIELD_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
+# a value whose default is a bool, int, float or str must be one of these;
+# a bool only where the default is a bool
+_FIELD_TYPES = {bool: bool, int: numbers.Integral, float: numbers.Real, str: str}
 
 DIAG_COLUMNS = (
     "step",
@@ -92,7 +103,11 @@ class SolverConfig:
     ``interpolation`` selects the composition spline ("cubic" by default,
     or "quintic"). ``workers`` threads the per-core inversion, with
     results independent of it. Every step runs exactly
-    ``picard_iters`` Picard passes, which keeps runs bit-reproducible.
+    ``picard_iters`` Picard passes, which keeps runs bit-reproducible;
+    inside a label window all but the last run in the label-reset frame
+    (see the module docstring). The initial field is built and checked
+    once, with each ``initial_params`` value of the type of the
+    generator's keyword default; :meth:`initial_field` returns copies.
     ``substeps`` refines the Brownian paths so runs at coarser ``dt`` can
     share noise with finer ones (common random numbers). ``probes`` is one
     ``dim``-vector or a ``(dim, P)`` array whose columns are the P probe
@@ -127,11 +142,7 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            kind, value = type(f.default), getattr(self, f.name)
-            if kind in _FIELD_TYPES:
-                if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
-                    raise ConfigError(f"{f.name} must be of type {kind.__name__}, got {value!r}")
-                setattr(self, f.name, kind(value))
+            setattr(self, f.name, _typed(f.name, f.default, getattr(self, f.name)))
         if self.equation not in EQUATIONS:
             raise ConfigError(f"equation must be one of {EQUATIONS}, got {self.equation!r}")
         if self.backend not in BACKENDS:
@@ -166,7 +177,8 @@ class SolverConfig:
             PeriodicGrid(self.dim, self.n, self.length)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        self.initial_field()
+        # a plain attribute, so fields(), equality and effective.cfg ignore it
+        self._initial = self._checked_initial_field()
         if self.forcing is not None or self.forcing_params:
             make_forcing(self.forcing, self)
         if self.circulation_curve is not None:
@@ -193,9 +205,19 @@ class SolverConfig:
         return PeriodicGrid(self.dim, self.n, self.length)
 
     def initial_field(self) -> Field:
-        """The initial velocity; it must have ``dim`` components and, unless
-        the equation is Burgers, be divergence-free."""
+        """A copy of the initial velocity, built and checked with the config."""
+        return self._initial.copy()
+
+    def _checked_initial_field(self) -> Field:
+        """The initial velocity; each ``initial_params`` value must have the
+        type of the generator's keyword default, and the field ``dim``
+        components and, unless the equation is Burgers, no divergence."""
         grid = self.grid()
+        generator = GENERATORS.get(self.initial)
+        keywords = inspect.signature(generator).parameters if generator else {}
+        for key, value in self.initial_params.items():
+            if key in keywords:
+                _typed(f"[initial] {key}", keywords[key].default, value)
         try:
             u0 = analytic_field(self.initial, grid, **self.initial_params)
         except (TypeError, ValueError) as exc:
@@ -223,6 +245,17 @@ class SolverConfig:
             return pts.reshape(self.dim, -1)
         fracs = np.array([0.251, 0.503, 0.757])
         return np.tile(fracs * self.length, (self.dim, 1))
+
+
+def _typed(name: str, default, value):
+    """``value`` as the type of ``default`` when that is a bool, int, float
+    or str (a value not of that type is a ConfigError), else as it is."""
+    kind = type(default)
+    if kind not in _FIELD_TYPES:
+        return value
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, _FIELD_TYPES[kind]):
+        raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 # ---------------------------------------------------------------------------
@@ -365,20 +398,19 @@ class StochasticSolver:
         u0 = config.initial_field()
 
         self.ensemble = WienerEnsemble(config.realizations, config.dim, config.seed, config.substeps)
-        self.flow = FlowEnsemble(
-            self.grid,
-            config.realizations,
-            order=self.order,
-            tol=config.inversion_tol_factor * config.length,
-            workers=config.workers,
+        # the window's maps, and the identity that the predictor passes of a
+        # step inside a window advance (advanced() never changes it)
+        self.flow, self._identity = (
+            FlowEnsemble(self.grid, config.realizations, order=self.order,
+                         tol=config.inversion_tol_factor * config.length, workers=config.workers)
+            for _ in range(2)
         )
-
 
         # Label data: the transported quantity on the current window.
         # For the alpha model the labels carry the momentum v and the drift
         # is the filtered velocity u = (1 - alpha^2 Lap)^{-1} v; everywhere
         # else momentum and velocity coincide.
-        self.labels_u = u0.values.copy()
+        self.labels_u = u0.values
         self.v_values = self.labels_u
         self.u_values = self._drift_from_momentum(self.v_values)
         self.pin_mean = config.equation != "burgers" or config.dim == 1
@@ -468,23 +500,37 @@ class StochasticSolver:
         if self.forcing is not None:
             inc = forcing_increment(self.flow, self.forcing, self.t, cfg.equation != "burgers")
             label_u = self.labels_u + cfg.dt * inc
-            self.mean_target = self.mean_target + cfg.dt * np.asarray(
-                self.forcing(self.grid.coordinates(), self.t)
-            ).mean(axis=tuple(range(1, 1 + self.grid.dim)))
+            f_nodes = np.asarray(self.forcing(self.grid.coordinates(), self.t))
+            self.mean_target = self.mean_target + cfg.dt * f_nodes.mean(
+                axis=tuple(range(1, 1 + self.grid.dim))
+            )
+
+        # Every pass but the last only supplies u* for the averaged drift, so
+        # it runs in the label-reset frame: the identity advanced by this
+        # step's noise, with the current momentum (plus dt f) as labels. At a
+        # window's first step that frame is the window itself.
+        frame, frame_labels = self.flow, label_u
+        if self.step_index % cfg.reset_interval != 0 and cfg.picard_iters > 1:
+            frame, frame_labels = self._identity, self.v_values
+            if self.forcing is not None:  # the identity's forcing increment
+                frame_labels = self.v_values + cfg.dt * f_nodes
 
         drift = self.u_values
         chi = None
         for it in range(cfg.picard_iters):
+            if it == cfg.picard_iters - 1 and frame is not self.flow:
+                # the committed pass advances the window; its shifts differ
+                frame, frame_labels, chi = self.flow, label_u, None
             # Correction passes integrate the time-averaged drift along the
             # characteristic (two-stage update): plain re-advancing with an
             # averaged drift field would leave an O(dt) bias per unit time.
             stages = self._stages if it == 0 else 2
-            trial = self.flow.advanced(drift, cfg.dt, noise, stages=stages)
-            # every pass adds the same noise to the same shifts, so the
-            # characteristic function built by the first pass serves all
+            trial = frame.advanced(drift, cfg.dt, noise, stages=stages)
+            # the passes in one frame add the same noise to the same shifts,
+            # so the characteristic function built by the first serves all
             trial.chi = chi
             trial.invert()
-            v_new = self._recover(trial, label_u)
+            v_new = self._recover(trial, frame_labels)
             chi = trial.chi
             u_new = self._drift_from_momentum(v_new)
             self._max_speed(u_new)

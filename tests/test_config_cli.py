@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -58,6 +59,8 @@ name = taylor_green_2d
 [output]
 dir = {out}
 """
+
+RANDOM_CFG = TG_CFG.replace("taylor_green_2d", "random_band_limited\nkmax = 2\ndivergence_free = true")
 
 CONSTANT_FORCING = """
 [forcing]
@@ -344,6 +347,15 @@ radius = 1.0
         assert main(["run", str(p), "--set", override]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", ["initial.amplitude=true", "initial.divergence_free=2"])
+    def test_initial_param_of_wrong_type_exit_1(self, tmp_path, capsys, override):
+        # each [initial] value takes the type of the generator's default
+        p = write_cfg(tmp_path, RANDOM_CFG)
+        assert main(["info", str(p)]) == 0
+        assert main(["run", str(p), "--set", override]) == 1
+        assert f"[initial] {override.split('=')[0].split('.')[1]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "override",
         [
@@ -523,6 +535,15 @@ def test_example_config_is_valid(cfg):
     # an example that keeps a removed or misspelt key fails here
     assert main(["info", str(cfg)]) == 0
     compare_gates(cfg)
+
+
+@pytest.mark.parametrize("cfg", sorted(EXAMPLES.glob("*.cfg")), ids=lambda p: p.name)
+def test_example_config_loads_to_an_equal_config(cfg, tmp_path):
+    # the checks keep every value as the file gives it, and the initial
+    # field the config keeps is no field: effective.cfg reads back equal
+    config = load_config(cfg)
+    save_effective(config, tmp_path / "effective.cfg")
+    assert load_config(tmp_path / "effective.cfg") == config == dataclasses.replace(config)
 
 
 class TestCompareOracles:

@@ -135,6 +135,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=field):
             dataclasses.replace(tg_config(), **{field: value})
 
+    def test_initial_field_built_once_per_config(self, monkeypatch):
+        # the config keeps the field it checked; the solver and every
+        # caller get a copy, and replace() builds and checks a new one
+        built = _count_calls(monkeypatch, slns.solver, "analytic_field")
+        cfg = tg_config(n=32)
+        StochasticSolver(cfg)
+        assert len(built) == 1
+        cfg.initial_field().values[:] = 0.0
+        assert np.array_equal(cfg.initial_field().values, taylor_green_2d(cfg.grid()).values)
+        assert dataclasses.replace(cfg, seed=3) == tg_config(n=32, seed=3)
+        assert len(built) == 3
+
     def test_numbers_are_stored_as_the_field_type(self):
         cfg = dataclasses.replace(tg_config(), n=np.int64(32), nu=0, t_end=np.float32(0.5))
         assert (type(cfg.n), type(cfg.nu), type(cfg.t_end)) == (int, float, float)
@@ -203,6 +215,17 @@ class TestSteadyEuler:
         r1 = run(tg_config(equation="euler", nu=0.0, realizations=1, t_end=0.05, reset_interval=1))
         r5 = run(tg_config(equation="euler", nu=0.0, realizations=1, t_end=0.05, reset_interval=5))
         assert (r1.velocity - r5.velocity).max_norm() <= 20 * 5e-3 * 5e-3
+
+    def test_reset_interval_invariance_unsteady(self):
+        # Taylor-Green is steady under Euler, so only a moving field shows a
+        # window whose predictor passes compose the wrong labels
+        cfg = tg_config(equation="euler", nu=0.0, realizations=1, n=32, t_end=0.05,
+                        initial="random_band_limited",
+                        initial_params={"kmax": 2, "seed": 8, "divergence_free": True})
+        r1 = run(cfg)
+        for reset_interval in (5, 10):
+            rw = run(dataclasses.replace(cfg, reset_interval=reset_interval))
+            assert (r1.velocity - rw.velocity).max_norm() <= 1e-5
 
 
 class TestSolverInvariants:
@@ -289,6 +312,24 @@ class TestPicardPasses:
         cfg = tg_config(n=32, realizations=8, picard_iters=5)
         StochasticSolver(cfg).step()
         assert len(passes) == 5
+
+    @pytest.mark.parametrize("picard_iters", [1, 2, 3])
+    def test_only_the_last_pass_inverts_the_window_cores(self, monkeypatch, picard_iters):
+        # inside a window the predictor passes invert the one shared core of
+        # the label-reset frame and share its chi, and only the committed
+        # pass inverts the M cores (their mean needs no chi); a window's
+        # first step is that frame, so every pass shares one chi
+        cores = _count_calls(monkeypatch, slns.flowmap, "invert_core")
+        chis = _count_calls(monkeypatch, slns.flowmap, "shift_mean_multiplier")
+        solver = StochasticSolver(tg_config(n=32, realizations=8, reset_interval=4,
+                                            picard_iters=picard_iters))
+        per_step = []
+        for _ in range(4):
+            before = len(cores), len(chis)
+            solver.step()
+            per_step.append((len(cores) - before[0], len(chis) - before[1]))
+        inside = (picard_iters - 1 + 8, int(picard_iters > 1))
+        assert per_step == [(picard_iters, 1)] + [inside] * 3
 
 
 class TestWorkPerStep:
