@@ -22,8 +22,12 @@ Immediately after a label reset all realizations share one core (``xi_m``
 identical for all ``m``); the ensemble stays in that cheap shared
 representation until a subsequent drift evaluation makes the cores diverge.
 
-Two drift integrators are provided: the one-stage Euler-Maruyama update
-(``stages=1``) and a two-stage midpoint/Heun update of the noise-shifted
+For the same reason one step with a frozen drift moves every realization
+by one deterministic map ``y -> y + phi(y)`` plus its own increment. So
+``phi`` is built once on the grid nodes and composed with every core by
+one spline evaluation at the cores' shifted points (``phi`` itself at the
+identity core). Two rules build ``phi``: the one-stage Euler-Maruyama
+``dt u`` (``stages=1``) and the two-stage Heun rule of the noise-shifted
 deterministic flow (``stages=2``), which realizes the translated-flow
 construction ``X = Y + W`` with ``Y' = u(Y + W)``.
 """
@@ -87,6 +91,9 @@ def _newton_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 # a fixed-point update must shrink each active residual to this fraction
 _FIXED_POINT_RATIO = 0.5
+# a damped Newton update halves its step at most this often while it raises
+# the residual; a nearly singular core needs more than a few halvings
+_NEWTON_HALVINGS = 6
 
 
 def invert_core(
@@ -198,7 +205,7 @@ def invert_core(
             step = 1.0
             trial = a_act - delta
             r_trial = residual(trial, x_act)
-            for _ in range(3):
+            for _ in range(_NEWTON_HALVINGS):
                 worse = np.max(np.abs(r_trial), axis=0) > rn_old
                 if not worse.any():
                     break
@@ -230,8 +237,9 @@ class FlowEnsemble:
     (None until :meth:`shift_multiplier` first builds it); ensembles
     advanced from one parent with the same noise have equal shifts and may
     be handed one ``chi``. ``_integrands`` maps the ``weber`` flag to the
-    last recovery integrand ``J`` built on this ensemble's inverse cores and
-    the label array it was built from (see ``recovery._integrand``). ``J``
+    label array, the last recovery integrand ``J`` built from it on this
+    ensemble's inverse cores, and ``J``'s transform (see
+    ``recovery._integrand``). ``J``
     is in the core frame: realization ``m``'s integrand is ``J`` (or
     ``J[m]``) translated by ``shifts[m]``, and the ensemble stores no
     translated map ``A_m``. It is ``(c,) + shape`` when map
@@ -299,36 +307,45 @@ class FlowEnsemble:
     ) -> "FlowEnsemble":
         """One time step of the forward maps with frozen drift ``u``.
 
-        ``stages=1`` is the Euler-Maruyama update
-        ``X += dt u(X) + dW``; ``stages=2`` integrates the noise-shifted
-        deterministic flow with a two-stage (Heun) rule before adding the
-        new increment, i.e. the translated-flow construction. ``noise`` is
-        the pre-scaled uniform increment ``sqrt(2 nu) dW`` per realization,
-        or None for a noise-free advance. Returns a new ensemble; ``self``
-        is unchanged (so a step can be re-advanced with a corrected drift).
+        The drift is frozen and the noise uniform in space, so the step's
+        deterministic map ``y -> y + phi(y)`` is the same for every
+        realization. ``phi`` is built once on the grid nodes: ``dt u`` for
+        ``stages=1`` (the Euler-Maruyama update ``X += dt u(X) + dW``), and
+        the two-stage (Heun) rule ``dt/2 (u + u(y + dt u))`` for
+        ``stages=2`` (the translated-flow construction ``X = Y + W``). Each
+        realization then composes it with its own map:
+        ``xi_m += phi(X_m(a))``, one spline evaluation of ``phi`` at every
+        core's shifted points (``phi`` itself at the identity core).
+        ``noise`` is the pre-scaled uniform increment ``sqrt(2 nu) dW`` per
+        realization, or None for a noise-free advance. Returns a new
+        ensemble; ``self`` is unchanged (so a step can be re-advanced with
+        a corrected drift).
         """
         grid = self.grid
         d = grid.dim
         new = self._spawn()
+        if stages == 1:
+            phi = dt * u_values
+        else:
+            k1 = u_values.reshape(d, -1)
+            k2 = FieldInterpolator(grid, u_values, self.order).at(
+                grid.coordinates().reshape(d, -1) + dt * k1
+            )
+            phi = ((0.5 * dt) * (k1 + k2)).reshape((d,) + grid.shape)
         # one deterministic core while every shift is zero, else one map per
         # realization evaluated at its shifted points
         shared = self.mode == "shared" and not self.shifts.any()
         xi, lead = (self.xi, ()) if shared else (self.xi_general(), (self.m,))
-        pts = xi.reshape(lead + (d, -1)) + grid.coordinates().reshape(d, -1)
-        if not shared:
-            pts = pts + self.shifts[:, :, None]
-        flat = np.moveaxis(pts, -2, 0).reshape(d, -1)
-        at_nodes = shared and not xi.any()  # identity core: no interpolation
-        if not at_nodes or stages == 2:
-            drift = FieldInterpolator(grid, u_values, order=self.order)
-        k1 = u_values.reshape(d, -1) if at_nodes else drift.at(flat)
-        if stages == 1:
-            incr = dt * k1
+        if shared and not xi.any():  # identity core: phi at the nodes
+            new.xi = xi + phi
         else:
-            k2 = drift.at(flat + dt * k1)
-            incr = (0.5 * dt) * (k1 + k2)
-        incr = np.moveaxis(incr.reshape((d,) + lead + (-1,)), 0, -2)
-        new.xi = xi + incr.reshape(lead + (d,) + grid.shape)
+            pts = xi.reshape(lead + (d, -1)) + grid.coordinates().reshape(d, -1)
+            if not shared:
+                pts = pts + self.shifts[:, :, None]
+            flat = np.moveaxis(pts, -2, 0).reshape(d, -1)
+            incr = FieldInterpolator(grid, phi, self.order).at(flat)
+            incr = np.moveaxis(incr.reshape((d,) + lead + (-1,)), 0, -2)
+            new.xi = xi + incr.reshape(lead + (d,) + grid.shape)
         new.shifts = self.shifts if noise is None else self.shifts + noise
         return new
 

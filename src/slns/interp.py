@@ -106,14 +106,17 @@ def interpolate_batch(
     values: np.ndarray,
     points: np.ndarray,
     order: int = 3,
+    spectra: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-realization interpolation: ``values`` is ``(M, c, spatial)``,
     ``points`` is ``(M, d, ...)``; realization ``m`` of the field is
-    evaluated at realization ``m`` of the points."""
+    evaluated at realization ``m`` of the points. ``spectra`` may pass the
+    values' batched ``rfftn`` (see :class:`FieldInterpolator`)."""
     m = values.shape[0]
     if points.shape[0] != m:
         raise ValueError("values and points disagree on realization count")
     out = np.empty((m, values.shape[1]) + points.shape[2:])
     for i in range(m):
-        out[i] = FieldInterpolator(grid, values[i], order=order).at(points[i])
+        spectrum = None if spectra is None else spectra[i]
+        out[i] = FieldInterpolator(grid, values[i], order, spectrum=spectrum).at(points[i])
     return out

@@ -19,8 +19,9 @@ empirical characteristic function of the shifts. In the general
 representation (one core per realization) the average is one phase sum
 ``mean_m fft(J_m) exp(-i k . s_m)``. Either way the projection is applied
 once, to the averaged coefficients, before one inverse transform. One
-routine, :func:`_integrand`, builds the integrand and keeps it on the
-flow, so the per-realization diagnostics read it instead of rebuilding it.
+routine, :func:`_integrand`, builds the integrand and its transform and
+keeps both on the flow, so the per-realization diagnostics read them
+instead of rebuilding them.
 """
 
 from __future__ import annotations
@@ -42,9 +43,12 @@ def _label_array(label) -> np.ndarray:
     return label.values if isinstance(label, Field) else np.asarray(label)
 
 
-def _integrand(flow: FlowEnsemble, label_values: np.ndarray, weber: bool) -> np.ndarray:
+def _integrand(
+    flow: FlowEnsemble, label_values: np.ndarray, weber: bool
+) -> tuple[np.ndarray, np.ndarray]:
     """``u0 o B``, weighted by ``grad^T B`` when ``weber`` is set: the
-    integrand in the core frame of each inverse core ``B = I + beta``.
+    integrand in the core frame of each inverse core ``B = I + beta``, and
+    its ``rfftn``, which the average and the probe splines both read.
 
     Realization ``m``'s integrand is this field translated by
     ``flow.shifts[m]``, because ``A_m(x) = B_m(x - s_m)``. With a shared
@@ -60,7 +64,7 @@ def _integrand(flow: FlowEnsemble, label_values: np.ndarray, weber: bool) -> np.
     """
     cached = flow._integrands.get(weber)
     if cached is not None and cached[0] is label_values:
-        return cached[1]
+        return cached[1:]
     grid = flow.grid
     d = grid.dim
     c = label_values.shape[-d - 1]
@@ -85,8 +89,8 @@ def _integrand(flow: FlowEnsemble, label_values: np.ndarray, weber: bool) -> np.
         grad = gradient_values(beta, workspace(grid))  # [.., j, i] = d_i beta_j
         gp, vp = "m" * (beta.ndim - d - 1), "m" * (vals.ndim - d - 1)
         vals = vals + np.einsum(f"{gp}ji...,{vp}j...->{vp}i...", grad, vals)
-    flow._integrands[weber] = (label_values, vals)
-    return vals
+    flow._integrands[weber] = (label_values, vals, workspace(grid).fft(vals))
+    return flow._integrands[weber][1:]
 
 
 def _recover(
@@ -98,11 +102,11 @@ def _recover(
     and the projection is applied to that one mean.
     """
     ws = workspace(flow.grid)
-    vals = _integrand(flow, label_values, weber)
+    vals, vals_hat = _integrand(flow, label_values, weber)
     if vals.ndim == flow.grid.dim + 2:
-        coeffs = shift_mean_coeffs(ws.fft(vals), flow.shifts, ws)
+        coeffs = shift_mean_coeffs(vals_hat, flow.shifts, ws)
     else:
-        coeffs = ws.fft(vals) * flow.shift_multiplier(ws)
+        coeffs = vals_hat * flow.shift_multiplier(ws)
     if project:
         project_coeffs(coeffs, ws)
     return ws.ifft(coeffs)
@@ -113,7 +117,7 @@ def realization_field(
 ) -> np.ndarray:
     """Recovered field of one realization (``u~`` when ``project=True``)."""
     ws = workspace(flow.grid)
-    vals = _integrand(flow, label_values, weber)
+    vals = _integrand(flow, label_values, weber)[0]
     vals = vals if vals.ndim == flow.grid.dim + 1 else vals[m]
     if project:
         vals = project_values(vals, ws)
@@ -128,16 +132,17 @@ def probe_spread(
     Used for the Monte Carlo standard-error diagnostic; projection is
     omitted (the unprojected integrand carries the same sampling spread).
     The integrand that the last recovery on ``flow`` built from this same
-    label array is reused.
+    label array is reused, and its splines are built from its transform.
     """
     grid = flow.grid
-    vals = _integrand(flow, label_values, weber)
+    vals, vals_hat = _integrand(flow, label_values, weber)
     # realization m sees its core-frame integrand at (p - s_m)
     if vals.ndim == grid.dim + 1:
         pts = probes[:, None, :] - flow.shifts.T[:, :, None]  # (d, M, P)
-        return np.moveaxis(FieldInterpolator(grid, vals, order=flow.order).at(pts), 0, 1)
+        spline = FieldInterpolator(grid, vals, flow.order, spectrum=vals_hat)
+        return np.moveaxis(spline.at(pts), 0, 1)
     pts = probes[None] - flow.shifts[:, :, None]  # (M, d, P)
-    return interpolate_batch(grid, vals, pts, order=flow.order)
+    return interpolate_batch(grid, vals, pts, order=flow.order, spectra=vals_hat)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ start of the label window):
 
 1. freeze the current velocity as the drift;
 2. advance every realization's forward map by one step of
-   ``dX = u dt + sqrt(2 nu) dW`` (noise uniform in space);
+   ``dX = u dt + sqrt(2 nu) dW``; the noise is uniform in space, so the
+   step's deterministic map is built once on the grid nodes and composed
+   with every realization's map by one spline evaluation;
 3. invert to the back-to-labels maps;
 4. recover the new velocity with the equation's formula (transported
    average for Burgers, projected Weber average for incompressible flow,
@@ -547,6 +549,9 @@ class StochasticSolver:
         self.step_index += 1
 
         self._append_diagnostics(label_u)
+        # the diagnostics were the last readers of the step's integrands and
+        # their transforms: free them before the next step builds its own
+        self.flow._integrands.clear()
 
         if self.step_index % cfg.reset_interval == 0:
             self.labels_u = self.v_values.copy()

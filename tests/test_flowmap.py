@@ -9,6 +9,7 @@ from slns.grid import PeriodicGrid
 from slns.interp import FieldInterpolator
 from slns.reference import random_band_limited, taylor_green_2d
 from slns.solver import SolverConfig, StochasticSolver
+from slns.spectral import gradient_values, workspace
 from slns.wiener import WienerEnsemble
 
 L = 2 * np.pi
@@ -245,6 +246,28 @@ class TestFixedPointAndNewton:
                 a = bisect_root(lambda a: a - amp * np.sin(a), y, y - 1.0, y + 1.0)
                 assert abs((y + b) - a) <= 1e-10
 
+    def test_nearly_singular_solver_cores_invert(self, monkeypatch):
+        # a 1D Burgers window steepening into a shock: at step 58 the least
+        # det(I + grad xi) of the cores is about 4e-4, so they do not fold.
+        # On one of them damped Newton needs more than 3 step halvings per
+        # update to lower its residual, or it stalls within MAX_UPDATES
+        grid, tol, cores = solver_cores(
+            monkeypatch, 58, equation="burgers", dim=1, n=128, nu=0.001, dt=0.02,
+            t_end=1.6, realizations=4, reset_interval=1000, seed=3,
+            initial="sine_mode", initial_params={"mode": 1, "amplitude": 1.0},
+        )
+        det = [1.0 + gradient_values(xi, workspace(grid))[0, 0] for xi in cores]
+        assert 0.0 < min(v.min() for v in det) < 1e-3
+        newton = []
+        monkeypatch.setattr(flowmap, "_newton_step",
+                            lambda jac, rhs: newton.append(1) or _newton_step(jac, rhs))
+        x = grid.coordinates().reshape(1, -1)
+        for xi in cores:
+            pts = x + invert_core(grid, xi, tol=tol).reshape(x.shape)
+            res = grid.wrap_centered(pts + FieldInterpolator(grid, xi).at(pts) - x)
+            assert np.max(np.abs(res)) <= tol
+        assert newton  # the cores reached the damped Newton fallback
+
     def test_fallback_when_contraction_is_weak(self, monkeypatch):
         # |d xi / dx| reaches 0.8: a fixed-point update cuts the residual
         # near x = 0 by 0.8 only, so Newton has to finish the inversion
@@ -306,6 +329,73 @@ class TestAdvance:
         order = fit_order(1.0 / np.asarray(dts), errs)
         assert order >= 1.8  # per-step defect is O(dt^2)
         assert errs[0] <= 1.0 * dts[0] ** 2  # |u . grad u| / 2 sized constant
+
+
+class TestOneStepMap:
+    """``advanced`` builds the step's map ``y + phi(y)`` once on the nodes and
+    composes it with every core by one spline evaluation of ``phi``."""
+
+    M = 8
+
+    def general_ensemble(self, grid, drift, dt):
+        rng = np.random.default_rng(5)
+        first, second = 0.3 * rng.standard_normal((2, self.M, 2))
+        return FlowEnsemble(grid, self.M).advanced(drift, dt, first, stages=2), second
+
+    def exact_increments(self, fe, drift, dt):
+        """``dt S[u](X)`` and ``dt/2 (S[u](X) + S[u](X + dt S[u](X)))`` at
+        every realization's shifted core points ``X``, as ``(M, 2) + shape``."""
+        grid = fe.grid
+        spline = FieldInterpolator(grid, drift)
+        pts = fe.xi_general() + grid.coordinates() + fe.shifts[:, :, None, None]
+        pts = np.moveaxis(pts, 1, 0).reshape(2, -1)
+        k1 = spline.at(pts)
+        k2 = spline.at(pts + dt * k1)
+        return (np.moveaxis(v.reshape((2, self.M) + grid.shape), 0, 1)
+                for v in (dt * k1, 0.5 * dt * (k1 + k2)))
+
+    def test_two_stage_map_matches_composition(self):
+        # phi's spline differs from the composed drift spline by the spline
+        # error of the Heun correction dt (u . grad u) / 2, O(dt^2 h^4)
+        dt = 1e-3
+        errs = []
+        for n in (32, 64):
+            grid = PeriodicGrid(2, n, L)
+            drift = random_band_limited(grid, kmax=3, seed=1, divergence_free=True).values
+            fe, noise = self.general_ensemble(grid, drift, dt)
+            new = fe.advanced(drift, dt, noise, stages=2)
+            assert new.mode == "general"
+            _, heun = self.exact_increments(fe, drift, dt)
+            errs.append(np.max(np.abs(new.xi - fe.xi_general() - heun)))
+            assert errs[-1] <= dt * grid.spacing**4 / 100
+            assert np.array_equal(new.shifts, fe.shifts + noise)
+        assert errs[0] >= 4 * errs[1]
+
+    def test_one_stage_map_matches_drift_spline(self, grid2d):
+        dt = 1e-2
+        drift = random_band_limited(grid2d, kmax=3, seed=1, divergence_free=True).values
+        fe, noise = self.general_ensemble(grid2d, drift, dt)
+        new = fe.advanced(drift, dt, noise, stages=1)
+        euler, _ = self.exact_increments(fe, drift, dt)
+        bound = 16 * np.finfo(float).eps * dt * np.abs(drift).max()
+        assert np.max(np.abs(new.xi - fe.xi_general() - euler)) <= bound
+
+    def test_general_advance_evaluates_splines_at_n_plus_mn_points(self, monkeypatch, grid2d):
+        # phi needs the drift at the N nodes' Euler points, then phi is
+        # evaluated once at the M N core points: no second M N-point pass
+        drift = tg_drift(grid2d)
+        fe, noise = self.general_ensemble(grid2d, drift, 1e-2)
+        points = []
+        original = FieldInterpolator.at
+
+        def counted(self, pts):
+            points.append(int(np.prod(np.shape(pts)[1:])))
+            return original(self, pts)
+
+        monkeypatch.setattr(FieldInterpolator, "at", counted)
+        assert fe.advanced(drift, 1e-2, noise, stages=2).mode == "general"
+        nodes = grid2d.n**2
+        assert points == [nodes, self.M * nodes]
 
 
 class TestDetFromInversion:

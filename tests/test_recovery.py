@@ -7,6 +7,7 @@ from conftest import alpha_general, composition_residual, fit_order, taylor_gree
 import slns.recovery
 from slns.flowmap import FlowEnsemble
 from slns.grid import Field, PeriodicGrid
+from slns.interp import FieldInterpolator
 from slns.recovery import (
     burgers_velocity,
     circulation,
@@ -21,6 +22,7 @@ from slns.recovery import (
 from slns.reference import random_band_limited, taylor_green_2d
 from slns.solver import SolverConfig, StochasticSolver
 from slns.spectral import (
+    SpectralWorkspace,
     curl_values,
     divergence_values,
     helmholtz_values,
@@ -481,6 +483,25 @@ class TestIntegrandReuse:
         assert np.max(np.abs(u - singles.mean(axis=0))) <= 1e-13
 
     @pytest.mark.parametrize("steps", [1, 2])  # shared core, then one map per realization
+    def test_probe_splines_reuse_the_recovery_transform(self, grid2d, monkeypatch, steps):
+        # the probe splines are built from the integrand's transform that the
+        # recovery took, bit for bit the splines built from scratch
+        u0 = taylor_green_2d(grid2d)
+        fe = noisy_flow(grid2d, 4, nu=0.05, dt=5e-3, drift=u0.values, steps=steps)
+        weber_velocity(fe, u0.values)
+        probes = np.array([[1.0, 2.0], [3.0, 4.0]])
+        vals = slns.recovery._integrand(fe, u0.values, weber=True)[0]
+        pts = probes[None] - fe.shifts[:, :, None]
+        per_m = np.broadcast_to(vals, (4,) + vals.shape[-3:])
+        scratch = np.stack([FieldInterpolator(grid2d, v).at(p) for v, p in zip(per_m, pts)])
+        transforms = []
+        real_fft = SpectralWorkspace.fft
+        monkeypatch.setattr(SpectralWorkspace, "fft", lambda ws, v: transforms.append(1) or real_fft(ws, v))
+        spread = probe_spread(fe, u0.values, probes, weber=True)
+        assert not transforms
+        assert np.array_equal(spread, scratch)
+
+    @pytest.mark.parametrize("steps", [1, 2])  # shared core, then one map per realization
     def test_zero_shifts_average_the_core_frame_integrand(self, grid2d, steps):
         # with every shift zero the characteristic function is exactly 1, so
         # the recovery is the plain mean of the core-frame integrands
@@ -489,7 +510,7 @@ class TestIntegrandReuse:
         fe.shifts = np.zeros_like(fe.shifts)
         ws = workspace(grid2d)
         for recover, weber in ((burgers_velocity, False), (weber_velocity, True)):
-            plain = slns.recovery._integrand(fe, u0.values, weber)
+            plain = slns.recovery._integrand(fe, u0.values, weber)[0]
             plain = plain.mean(axis=0) if steps == 2 else plain
             expected = project_values(plain, ws) if weber else plain
             assert np.max(np.abs(recover(fe, u0.values) - expected)) <= 1e-14, recover.__name__
