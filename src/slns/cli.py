@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -164,10 +165,24 @@ def cmd_compare(args) -> int:
     if not snaps:
         raise ConfigError(f"no snapshots found in {run_dir}")
 
-    rows = []
+    grid = config.grid()
+    timed = []
     for snap in snaps:
-        field, t = read_snapshot(snap)
-        ref = oracle_solution(config, t, oracle)
+        try:
+            field, t = read_snapshot(snap)
+        except ValueError as exc:  # its message names the file
+            raise ConfigError(f"bad snapshot: {exc}") from None
+        if (field.grid, field.components) != (grid, grid.dim):
+            raise ConfigError(f"{snap}: snapshot {field!r} does not match effective.cfg "
+                              f"(dim={grid.dim}, n={grid.n}, L={grid.length}, {grid.dim} components)")
+        if not (math.isfinite(t) and t >= 0):
+            raise ConfigError(f"{snap}: time stamp {t} is not a finite time >= 0")
+        timed.append((t, field))
+    timed.sort(key=lambda tf: tf[0])
+    refs = oracle_solution(config, [t for t, _ in timed], oracle)
+
+    rows = []
+    for (t, field), ref in zip(timed, refs):
         diff = field - ref
         l2 = diff.l2_norm()
         rows.append(

@@ -171,11 +171,16 @@ def analytic_field(name: str, grid: PeriodicGrid, **params) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def spectral_ns_run(u0: Field, nu: float, dt: float, t_end: float, forcing=None) -> Field:
+def spectral_ns_run(u0: Field, nu: float, dt: float, t_end, forcing=None):
     """Reference incompressible solver on the same grid as ``u0``.
 
     Advances ``du/dt = -P[(u.grad)u] + nu Lap u + P f`` with the viscous
-    term integrated exactly per mode and returns the state at ``t_end``.
+    term integrated exactly per mode and returns the state at ``t_end``,
+    or, when ``t_end`` is a sorted sequence of times, the list of states at
+    those times from one integration. Each interval ``D`` between
+    consecutive output times (the first from 0) takes ``ceil(D / dt)``
+    equal steps; the forcing is evaluated at absolute time. The state at
+    time 0 is ``u0`` itself.
 
     The 2/3-rule mask keeps the modes with ``|k_j| < kcut`` on every axis,
     ``kcut = (2/3) (2 pi / L) (n // 2)``. Its outermost retained layer, the
@@ -209,21 +214,29 @@ def spectral_ns_run(u0: Field, nu: float, dt: float, t_end: float, forcing=None)
         out *= mask
         return project_coeffs(out, ws)
 
-    e_half = np.exp(-nu * ws.k2_full * dt / 2.0)
-    e_full = e_half**2
-    steps = int(round(t_end / dt))
-    if abs(steps * dt - t_end) > 1e-9 * max(t_end, dt):
-        raise ValueError("t_end must be an integer number of steps")
+    times = np.atleast_1d(np.asarray(t_end, dtype=np.float64))
+    if not (np.all(np.isfinite(times)) and times[0] >= 0 and np.all(np.diff(times) >= 0)):
+        raise ValueError("output times must be finite, non-negative and sorted")
     coeffs = project_coeffs(ws.fft(u0.values), ws)
-    for i in range(steps):
-        t = i * dt
-        k1 = nonlinear(coeffs, t)
-        k2 = nonlinear(e_half * (coeffs + 0.5 * dt * k1), t + 0.5 * dt)
-        k3 = nonlinear(e_half * coeffs + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = nonlinear(e_full * coeffs + dt * e_half * k3, t + dt)
-        coeffs = e_full * coeffs + (dt / 6.0) * (
-            e_full * k1 + 2.0 * e_half * (k2 + k3) + k4
-        )
+    out = []
+    t0 = 0.0
+    for t_out in times:
+        span = t_out - t0
+        steps = max(1, int(np.ceil(span / dt - 1e-12))) if span > 0 else 0
+        h = span / max(steps, 1)
+        e_half = np.exp(-nu * ws.k2_full * h / 2.0)
+        e_full = e_half**2
+        for i in range(steps):
+            t = t0 + i * h
+            k1 = nonlinear(coeffs, t)
+            k2 = nonlinear(e_half * (coeffs + 0.5 * h * k1), t + 0.5 * h)
+            k3 = nonlinear(e_half * coeffs + 0.5 * h * k2, t + 0.5 * h)
+            k4 = nonlinear(e_full * coeffs + h * e_half * k3, t + h)
+            coeffs = e_full * coeffs + (h / 6.0) * (
+                e_full * k1 + 2.0 * e_half * (k2 + k3) + k4
+            )
+        out.append(u0.copy() if t_out == 0 else Field(grid, ws.ifft(coeffs)))
+        t0 = t_out
 
     total = np.sum(np.abs(coeffs) ** 2)
     shell_energy = np.sum(np.abs(coeffs[..., shell]) ** 2)
@@ -232,7 +245,7 @@ def spectral_ns_run(u0: Field, nu: float, dt: float, t_end: float, forcing=None)
             "energy at the dealiasing cutoff exceeds 1e-8 of total; increase resolution",
             stacklevel=2,
         )
-    return Field(grid, ws.ifft(coeffs))
+    return out if np.ndim(t_end) else out[0]
 
 
 def spectral_resample(f: Field, n_to: int) -> Field:

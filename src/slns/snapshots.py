@@ -17,6 +17,7 @@ offset    type    meaning
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -46,9 +47,10 @@ def read_snapshot(path: str | Path) -> tuple[Field, float]:
             raise ValueError(f"{path}: bad magic {magic!r}")
         grid = PeriodicGrid(dim, n, length)
         count = ncomp * grid.num_points
-        payload = fh.read(count * 8)
-        if len(payload) != count * 8:
+        # a corrupt header may announce more data than the file holds
+        if os.fstat(fh.fileno()).st_size < _HEADER.size + count * 8:
             raise ValueError(f"{path}: truncated payload")
+        payload = fh.read(count * 8)
         data = np.frombuffer(payload, dtype="<f8")
         values = data.reshape((ncomp,) + grid.shape).astype(np.float64)
     return Field(grid, values), float(time)

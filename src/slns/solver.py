@@ -11,7 +11,11 @@ start of the label window):
 3. invert to the back-to-labels maps;
 4. recover the new velocity with the equation's formula (transported
    average for Burgers, projected Weber average for incompressible flow,
-   Helmholtz-filtered Weber pair for the alpha model);
+   Helmholtz-filtered Weber pair for the alpha model); when a pass's
+   labels are its own drift and it took one Euler-Maruyama step from the
+   identity, the composed labels are read off the inverse map, so the
+   label array at a reset is the momentum array itself (never written in
+   place);
 5. optionally repeat the advance with the damped drift
    ``(u_old + u_new) / 2`` (Picard iteration, Heun-like for 2 passes);
 6. every ``reset_interval`` steps, replace the label data with the current
@@ -554,7 +558,7 @@ class StochasticSolver:
         self.flow._integrands.clear()
 
         if self.step_index % cfg.reset_interval == 0:
-            self.labels_u = self.v_values.copy()
+            self.labels_u = self.v_values
             if self.labels_omega is not None:
                 self.labels_omega = self.omega_values.copy()
             self.flow.reset()
@@ -705,13 +709,15 @@ def _sha256(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-def oracle_solution(config: SolverConfig, t: float, oracle: str = "analytic") -> Field:
-    """Deterministic reference at time ``t`` by the named oracle of :data:`ORACLES`.
+def oracle_solution(config: SolverConfig, t, oracle: str = "analytic"):
+    """Deterministic reference at time ``t`` by the named oracle of :data:`ORACLES`;
+    for a sorted sequence of times, the list of references at those times.
 
     * ``cole_hopf``: the Cole-Hopf solution of 1D Burgers from ``sine_mode``
       data, for ``nu > 0``;
     * ``spectral_ns``: :func:`spectral_ns_run` of an incompressible run, with
-      the config's forcing and the step ``t / ceil(t / min(dt, 1e-2))``;
+      the config's forcing, through every time in one integration; the
+      interval ``D`` before each time takes steps of ``D / ceil(D / min(dt, 1e-2))``;
     * ``analytic``: the closed form where one exists (``cole_hopf``, or the
       Taylor-Green field unforced or under ``steady_taylor_green``
       forcing), else ``spectral_ns``.
@@ -721,6 +727,7 @@ def oracle_solution(config: SolverConfig, t: float, oracle: str = "analytic") ->
     if oracle not in ORACLES:
         raise ConfigError(f"oracle must be one of {ORACLES}, got {oracle!r}")
     grid = config.grid()
+    times = np.atleast_1d(np.asarray(t, dtype=np.float64))
     sine_burgers = (config.equation, config.dim, config.initial) == ("burgers", 1, "sine_mode")
     if oracle == "cole_hopf" or (oracle == "analytic" and sine_burgers):
         if not sine_burgers:
@@ -733,10 +740,11 @@ def oracle_solution(config: SolverConfig, t: float, oracle: str = "analytic") ->
         x = grid.axis()
         psi0 = -(amp / k) * np.cos(k * x)
         try:
-            vals = cole_hopf_burgers(psi0, config.length, config.nu, t, x)
+            fields = [Field(grid, cole_hopf_burgers(psi0, config.length, config.nu, s, x)[None])
+                      for s in times]
         except ValueError as exc:
             raise ConfigError(f"cole_hopf oracle: {exc}") from None
-        return Field(grid, vals[np.newaxis])
+        return fields if np.ndim(t) else fields[0]
     if config.equation not in ("navier_stokes", "euler"):
         raise ConfigError(f"no {oracle} oracle for equation={config.equation}: "
                           "the spectral reference needs an incompressible run")
@@ -749,14 +757,11 @@ def oracle_solution(config: SolverConfig, t: float, oracle: str = "analytic") ->
         # Stokes eigenmode (the advection of the cellular field is a gradient)
         amp = config.initial_params.get("amplitude", 1.0)
         held = config.forcing_params.get("amplitude", 1.0) if config.forcing else 0.0
-        decay = np.exp(-taylor_green_decay_rate(config.length, config.nu) * t)
-        return taylor_green_2d(grid, held + (amp - held) * decay)
-    u0 = config.initial_field()
-    if t == 0:
-        return u0
-    ref_dt = min(config.dt, 1e-2)
-    steps = max(1, int(np.ceil(t / ref_dt - 1e-12)))
-    return spectral_ns_run(u0, config.nu, t / steps, t, forcing=config.forcing_fn())
+        rate = taylor_green_decay_rate(config.length, config.nu)
+        fields = [taylor_green_2d(grid, held + (amp - held) * np.exp(-rate * s)) for s in times]
+        return fields if np.ndim(t) else fields[0]
+    return spectral_ns_run(config.initial_field(), config.nu, min(config.dt, 1e-2), t,
+                           forcing=config.forcing_fn())
 
 
 def relative_l2_error(a: Field, b: Field) -> float:

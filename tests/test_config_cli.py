@@ -13,6 +13,9 @@ import slns.solver
 from slns.cli import main
 from slns.config import compare_gates, load_config, save_effective
 from slns.errors import ConfigError
+from slns.grid import PeriodicGrid
+from slns.reference import taylor_green_2d
+from slns.snapshots import write_snapshot
 from slns.solver import SolverConfig
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples_cfg"
@@ -609,3 +612,52 @@ class TestCompareOracles:
              "--set", "run.realizations=32"]
         )
         assert code == 0
+
+    def test_spectral_reference_integrates_once_for_every_snapshot(self, tmp_path, monkeypatch):
+        p = write_cfg(tmp_path, RANDOM_CFG)
+        assert main(["run", str(p), "--set", "run.t_end=0.05",
+                     "--set", "output.snapshot_interval=1"]) == 0
+        runs = []
+        real_run = slns.solver.spectral_ns_run
+        monkeypatch.setattr(slns.solver, "spectral_ns_run",
+                            lambda *a, **kw: runs.append(a[3]) or real_run(*a, **kw))
+        assert main(["compare", str(tmp_path / "out"), "--oracle", "spectral_ns"]) == 0
+        assert len(runs) == 1 and len(runs[0]) == 11
+        # the same references as one integration per snapshot
+        config = load_config(tmp_path / "out" / "effective.cfg")
+        times = runs[0]
+        refs = slns.solver.oracle_solution(config, times, "spectral_ns")
+        for t, ref in zip(times, refs):
+            one = slns.solver.oracle_solution(config, t, "spectral_ns")
+            assert (ref - one).l2_norm() <= 1e-10 * one.l2_norm()
+
+
+class TestBadSnapshots:
+    """A snapshot that cannot be compared is a config error naming the file."""
+
+    @staticmethod
+    def _header_n(raw: bytes, n: int) -> bytes:
+        return raw[:10] + n.to_bytes(4, "little") + raw[14:]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw, other: raw[:40],  # truncated payload
+            lambda raw, other: b"BOGUS1" + raw[6:],  # bad magic
+            lambda raw, other: other,  # a valid snapshot on another grid
+            # a header that announces far more data than the file holds
+            lambda raw, other: TestBadSnapshots._header_n(raw, 2**20),
+        ],
+        ids=["truncated", "bad-magic", "grid-mismatch", "oversized-header"],
+    )
+    def test_bad_snapshot_exits_1_with_one_error_line(self, tmp_path, capsys, damage):
+        p = write_cfg(tmp_path, TG_CFG)
+        assert main(["run", str(p)]) == 0
+        snap = sorted((tmp_path / "out").glob("snapshot_*.slnsf"))[-1]
+        other_path = tmp_path / "other.slnsf"
+        write_snapshot(other_path, taylor_green_2d(PeriodicGrid(2, 16, 2 * np.pi)), 0.02)
+        snap.write_bytes(damage(snap.read_bytes(), other_path.read_bytes()))
+        capsys.readouterr()
+        assert main(["compare", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and snap.name in err[0]

@@ -108,6 +108,11 @@ class TestSpectralNS:
         with pytest.raises(ValueError):
             spectral_ns_run(bad, nu=0.1, dt=0.01, t_end=0.1)
 
+    @pytest.mark.parametrize("times", [[0.1, 0.05], [-0.01, 0.1], [0.0, np.nan]])
+    def test_output_times_must_be_sorted_and_finite(self, grid2d, times):
+        with pytest.raises(ValueError, match="output times"):
+            spectral_ns_run(taylor_green_2d(grid2d), nu=0.1, dt=0.01, t_end=times)
+
 
 class TestColeHopf:
     def setup_method(self):

@@ -388,6 +388,69 @@ class TestWorkPerStep:
         assert per_core and per_core == [32 * 32] * len(per_core)
 
 
+def _points_per_pass(monkeypatch, solver):
+    """The point count of every ``FieldInterpolator.at`` call in the next
+    step of ``solver``, one list per Picard pass (the last pass's list ends
+    with the step's diagnostics)."""
+    passes = []
+    real_advanced, real_at = FlowEnsemble.advanced, FieldInterpolator.at
+
+    def advanced(self, *args, **kwargs):
+        passes.append([])
+        return real_advanced(self, *args, **kwargs)
+
+    def at(self, pts):
+        passes[-1].append(int(np.prod(pts.shape[1:])))
+        return real_at(self, pts)
+
+    monkeypatch.setattr(FlowEnsemble, "advanced", advanced)
+    monkeypatch.setattr(FieldInterpolator, "at", at)
+    solver.step()
+    return passes
+
+
+class TestEulerPredictorLabels:
+    """The one-stage predictor from the identity reads its labels, the
+    drift, off its inverse core instead of composing them."""
+
+    N = 64 * 64
+    PROBES = 3 * 64  # the default probes, once per realization
+
+    def test_shared_predictor_composes_no_labels(self, monkeypatch):
+        # pass 0: the inversion's residual check only; pass 1: the Heun
+        # drift, the core's inversion, the labels, then vorticity and probes.
+        # The second step's labels are the ones the first step's reset set.
+        solver = StochasticSolver(tg_config())
+        solver.step()
+        passes = _points_per_pass(monkeypatch, solver)
+        n = self.N
+        assert passes == [[n], [n, n, n, n, self.PROBES]]
+
+    def test_window_predictor_builds_no_momentum_spline(self, monkeypatch):
+        solver = StochasticSolver(tg_config(n=32, realizations=8, reset_interval=4))
+        solver.step()
+        assert solver.step_index % 4 != 0  # the next step is inside the window
+        momentum = solver.v_values
+        built = spline_builds(monkeypatch)
+        solver.step()
+        assert not any(v is momentum for v in built)
+
+    @pytest.mark.parametrize(
+        "kw, first_pass, last_pass",
+        [
+            # the drift is the filtered momentum, not the labels
+            (dict(equation="lans_alpha", alpha=0.5), [N, N], [N, N, N, N, PROBES]),
+            # the labels carry dt f; forced runs track no vorticity labels
+            (dict(forcing="steady_taylor_green"), [N, N], [N, N, N, PROBES]),
+            # the first pass is a two-stage step
+            (dict(backend="translated_flow"), [N, N, N], [N, N, N, N, PROBES]),
+        ],
+    )
+    def test_other_predictors_compose_their_labels(self, monkeypatch, kw, first_pass, last_pass):
+        passes = _points_per_pass(monkeypatch, StochasticSolver(tg_config(**kw)))
+        assert passes == [first_pass, last_pass]
+
+
 class TestBurgersSolver:
     def test_tracks_cole_hopf(self):
         cfg = burgers_config(t_end=0.2, realizations=512, n=128, dt=2e-3)
