@@ -6,11 +6,11 @@ run emits the fully materialized ``effective.cfg`` next to its outputs so
 a run directory is always reproducible from itself.
 
 This module only turns text into plain values: a number (or ``true`` /
-``false``), text, a comma-separated list, or ``;``-separated points, each
-a comma list (so only ``#`` starts a comment after a value). ``[output]
-dir`` stays text. :class:`~slns.solver.SolverConfig` checks every value,
-its type included, as it does for the Python API. A vector has one number
-per dimension; in 1D it may be that one number.
+``false``), text or a comma-separated list; only ``#`` starts a comment
+after a value. ``[output] dir`` stays text.
+:class:`~slns.solver.SolverConfig` checks every value, its type included,
+as it does for the Python API. A vector has one number per dimension; in
+1D it may be that one number.
 
 ```
 [run]                      # solver parameters (see SolverConfig)
@@ -38,7 +38,6 @@ radius = 1.0
 [output]
 dir = out/burgers1d
 snapshot_interval = 0
-probes = 1.57 ; 3.14 ; 4.71
 
 [compare]                  # default oracle and gates of `slns compare`, checked on load
 oracle = cole_hopf
@@ -66,16 +65,13 @@ _RUN_KEYS = tuple(
 )
 NORMS = ("l2", "rel_l2", "linf")  # the columns of compare_<oracle>.csv after time
 COMPARE_GATES = {f"{n}_max": n for n in NORMS}  # [compare] gate -> the column it bounds
-_OUTPUT_KEYS = {"dir": "output_dir", "snapshot_interval": "snapshot_interval", "probes": "probes"}
+_OUTPUT_KEYS = {"dir": "output_dir", "snapshot_interval": "snapshot_interval"}
 _BOOLS = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
 
 
 def _parse_value(text: str):
-    """``text`` as a plain value: a list of points (each a list) when it
-    holds ``;``, a list when it holds ``,``, else a bool, int, float or the
-    stripped text. List items are numbers or text."""
-    if ";" in text:
-        return [[_number(v) for v in p.split(",")] for p in text.split(";") if p.strip()]
+    """``text`` as a plain value: a list when it holds ``,``, else a bool,
+    int, float or the stripped text. List items are numbers or text."""
     if "," in text:
         return [_number(v) for v in text.split(",")]
     return _BOOLS.get(text.strip().lower(), _number(text))
@@ -147,8 +143,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> SolverConfig
             raise ConfigError(f"unknown [output] key {key!r}")
         # dir stays text, so a comma in a path is not split
         kwargs[_OUTPUT_KEYS[key]] = raw if key == "dir" else _parse_value(raw)
-    if "probes" in kwargs:  # the file lists points, SolverConfig takes them as (dim, P) columns
-        kwargs["probes"] = np.array(kwargs["probes"], dtype=object, ndmin=2).T.tolist()
 
     _compare_section(parser)  # read by compare_gates; checked here so every subcommand rejects it
     return SolverConfig(**kwargs)
@@ -208,13 +202,6 @@ def save_effective(config: SolverConfig, path: str | Path, gates: dict | None = 
     if config.output_dir is not None:
         parser.set("output", "dir", str(config.output_dir))
     parser.set("output", "snapshot_interval", str(config.snapshot_interval))
-    if config.probes is not None:
-        pts = np.asarray(config.probes, dtype=np.float64).reshape(config.dim, -1)
-        parser.set(
-            "output",
-            "probes",
-            " ; ".join(",".join(_fmt_value(x) for x in pts[:, p]) for p in range(pts.shape[1])),
-        )
 
     if gates:
         parser.add_section("compare")

@@ -249,8 +249,6 @@ class FlowEnsemble:
     ``J[m]``) translated by ``shifts[m]``, and the ensemble stores no
     translated map ``A_m``. It is ``(c,) + shape`` when map
     and labels are shared, else ``(M, c) + shape``.
-    ``_label_splines`` maps the flag to a shared label array and its spline:
-    one dict per label window, shared with the ensembles advanced from this.
     ``_det_dev`` is ``max |det(grad X) - 1|``; like ``beta`` it is 0 at the
     identity, None on an ensemble not yet inverted, and set by
     :meth:`invert` from its fold checks. ``_euler`` is ``(u, dt)`` when the
@@ -293,7 +291,6 @@ class FlowEnsemble:
         self.beta = np.zeros((d,) + self.grid.shape)
         self.chi = None
         self._integrands = {}
-        self._label_splines = {}
         self._det_dev = 0.0
         self._euler = None
 

@@ -62,9 +62,9 @@ def _integrand(
     forcing) on the shared core.
 
     The result is kept on ``flow`` (cleared by ``invert``/``reset``) and
-    returned again for the same label array, whose spline is kept for the
-    label window, so ``label_values`` must not be modified in place within
-    the window, and callers must not modify the result.
+    returned again for the same label array, so ``label_values`` must not
+    be written in place while its integrand is kept, and callers must not
+    modify the result.
     """
     cached = flow._integrands.get(weber)
     if cached is not None and cached[0] is label_values:
@@ -82,12 +82,8 @@ def _integrand(
         vals = -beta / euler[1]
     elif label_values.ndim == d + 1:
         # one interpolator over the points of every core
-        spline = flow._label_splines.get(weber)
-        if spline is None or spline[0] is not label_values:
-            spline = (label_values, FieldInterpolator(grid, label_values, order=flow.order))
-            flow._label_splines[weber] = spline
         flat = np.moveaxis(pts, -2, 0).reshape(d, -1)
-        vals = spline[1].at(flat)
+        vals = FieldInterpolator(grid, label_values, order=flow.order).at(flat)
         vals = np.moveaxis(vals.reshape((c,) + lead + (-1,)), 0, -2)
     else:
         lead = (flow.m,)

@@ -83,6 +83,7 @@ FORCINGS = ("steady_taylor_green", "constant")
 ORACLES = ("cole_hopf", "spectral_ns", "analytic")  # see oracle_solution
 CFL_MAX = 0.5  # a step fails when dt max|u| / h exceeds this
 CIRCULATION_REALIZATIONS = 2  # realizations whose circulation a probe reports
+PROBE_FRACTIONS = (0.251, 0.503, 0.757)  # probe points, as fractions of L on every axis
 # a value whose default is a bool, int, float or str must be one of these;
 # a bool only where the default is a bool
 _FIELD_TYPES = {bool: bool, int: numbers.Integral, float: numbers.Real, str: str}
@@ -115,9 +116,7 @@ class SolverConfig:
     once, with each ``initial_params`` value of the type of the
     generator's keyword default; :meth:`initial_field` returns copies.
     ``substeps`` refines the Brownian paths so runs at coarser ``dt`` can
-    share noise with finer ones (common random numbers). ``probes`` is one
-    ``dim``-vector or a ``(dim, P)`` array whose columns are the P probe
-    points (``[output] probes`` lists points separated by ``;``).
+    share noise with finer ones (common random numbers).
     """
 
     equation: str = "navier_stokes"
@@ -142,7 +141,6 @@ class SolverConfig:
     forcing: str | None = None
     forcing_params: dict = dataclass_field(default_factory=dict)
     snapshot_interval: int = 0
-    probes: list | None = None
     circulation_curve: dict | None = None
     output_dir: str | None = None
 
@@ -189,15 +187,6 @@ class SolverConfig:
             make_forcing(self.forcing, self)
         if self.circulation_curve is not None:
             named_curve(self)
-        if self.probes is not None:
-            try:
-                pts = np.asarray(self.probes, dtype=np.float64)
-            except (TypeError, ValueError):  # ragged or not numbers
-                pts = np.empty(0)
-            layout = pts.shape[:1] == (self.dim,) and pts.ndim <= 2 and 0 not in pts.shape
-            if not layout or not np.isfinite(pts).all():
-                raise ConfigError(f"probes must be one finite {self.dim}-vector or a "
-                                  f"({self.dim}, P) array whose columns are the P points")
 
     @property
     def num_steps(self) -> int:
@@ -242,15 +231,6 @@ class SolverConfig:
         if self.forcing is None:
             return None
         return make_forcing(self.forcing, self)
-
-    def default_probes(self) -> np.ndarray:
-        """The probe points as ``(d, P)``: ``probes``, else three fixed
-        interior points."""
-        if self.probes is not None:
-            pts = np.asarray(self.probes, dtype=np.float64)
-            return pts.reshape(self.dim, -1)
-        fracs = np.array([0.251, 0.503, 0.757])
-        return np.tile(fracs * self.length, (self.dim, 1))
 
 
 def _typed(name: str, default, value):
@@ -431,13 +411,13 @@ class StochasticSolver:
             self.omega_values = self.labels_omega.copy()
 
         self.curve = named_curve(config) if config.circulation_curve is not None else None
-        self.probes = config.default_probes()
+        self.probes = np.tile(np.array(PROBE_FRACTIONS) * config.length, (config.dim, 1))
         self.diagnostics = Diagnostics()
         self.circulation_rows: list[dict] = []
         self.wall_times: list[float] = []
         self.t = 0.0
         self.step_index = 0
-        self._se_accum_sq = 0.0
+        self._se_closed_sq = 0.0  # the squared SE of every window closed so far
         self._stages = 1 if config.backend == "direct_sde" else 2
 
     # -- helpers -----------------------------------------------------------
@@ -597,7 +577,11 @@ class StochasticSolver:
             se = float(np.max(spread.std(axis=0, ddof=1))) / np.sqrt(cfg.realizations)
         else:
             se = 0.0
-        self._se_accum_sq += se * se
+        # a step's SE covers every shift since its window's reset, so only
+        # a window's last step adds to the closed windows' sum
+        accum = float(np.sqrt(self._se_closed_sq + se * se))
+        if self.step_index % cfg.reset_interval == 0:
+            self._se_closed_sq += se * se
 
         self.diagnostics.append(
             step=self.step_index,
@@ -609,7 +593,7 @@ class StochasticSolver:
             max_det_dev=max_det_dev,
             circulation_defect=defect,
             probe_se=se,
-            probe_se_accum=float(np.sqrt(self._se_accum_sq)),
+            probe_se_accum=accum,
         )
 
     def _circulation_diagnostics(self, label_u: np.ndarray) -> float:

@@ -118,15 +118,6 @@ class TestConfigFile:
         assert cfg2 == cfg
         assert compare_gates(eff)["rel_l2_max"] == 0.2
 
-    def test_documented_probe_line_gives_three_probes(self, tmp_path):
-        line = next(
-            ln for ln in slns.config.__doc__.splitlines() if ln.startswith("probes =")
-        )
-        p = tmp_path / "probes.cfg"
-        p.write_text(f"[run]\nequation = burgers\ndim = 1\n\n[initial]\nname = sine_mode\n"
-                     f"\n[output]\n{line}\n")
-        assert load_config(p).probes == [[1.57, 3.14, 4.71]]
-
     def test_every_run_key_roundtrips(self, tmp_path):
         # every [run] value differs from its default, so a key that
         # save_effective leaves out comes back as the default
@@ -138,14 +129,6 @@ class TestConfigFile:
         default = SolverConfig()
         assert all(value != getattr(default, key) for key, value in run.items())
         cfg = SolverConfig(**run, initial="abc_flow")
-        eff = tmp_path / "effective.cfg"
-        save_effective(cfg, eff)
-        assert load_config(eff) == cfg
-
-    def test_two_probes_survive_effective_roundtrip(self, tmp_path):
-        p = write_cfg(tmp_path, TG_CFG + "probes = 1.0,2.0 ; 3.0,4.0  # two points\n")
-        cfg = load_config(p)
-        assert cfg.probes == [[1.0, 3.0], [2.0, 4.0]]
         eff = tmp_path / "effective.cfg"
         save_effective(cfg, eff)
         assert load_config(eff) == cfg
@@ -213,7 +196,7 @@ name = steady_taylor_green
 center = 3.0, 3.2
 radius = 1.0
 """
-        p = write_cfg(tmp_path, TG_CFG + "probes = 1.0,2.0 ; 3.0,4.0\n" + sections)
+        p = write_cfg(tmp_path, TG_CFG + sections)
         assert main(["run", str(p), "--set", "run.reset_interval=2"]) == 0
         eff = tmp_path / "out" / "effective.cfg"
         assert main(["run", str(eff), "--output-dir", str(tmp_path / "rerun")]) == 0
@@ -324,7 +307,7 @@ radius = 1.0
     @pytest.mark.parametrize(
         "override",
         ["run.cfl_max=0.5", "run.newton_max_iter=25", "circulation.kind=circle",
-         "circulation.realizations=2"],
+         "circulation.realizations=2", "output.probes=1.0"],
     )
     def test_retired_key_exit_1_names_it(self, tmp_path, capsys, override):
         # keys that older effective.cfg files hold; their settings are constants

@@ -85,21 +85,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             tg_config(n=100)
 
-    def test_probes_must_be_dim_vectors(self):
-        # three coordinates do not reshape to (2, P)
-        with pytest.raises(ConfigError, match="probes"):
-            tg_config(probes=[1.0, 2.0, 3.0])
-        # a list of points (P, 2) and a flat list of two points are not the
-        # (2, P) layout, which would read them as other points; nor is a
-        # ragged list
-        bad = ([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0], [3.0]])
-        for probes in bad:
-            with pytest.raises(ConfigError, match=r"\(2, P\)"):
-                tg_config(probes=probes)
-        assert tg_config(probes=[1.0, 2.0]).default_probes().shape == (2, 1)
-        pts = [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]]
-        assert np.array_equal(tg_config(probes=pts).default_probes(), pts)
-
     def test_forcing_values_must_be_finite_numbers(self):
         for amplitude in ("x", np.nan, np.inf, [1.0, 2.0], None):
             with pytest.raises(ConfigError, match=r"\[forcing\] amplitude"):
@@ -337,15 +322,19 @@ class TestWorkPerStep:
 
     @pytest.mark.parametrize("reset_interval", [1, 4])
     def test_no_gradient_spline_and_labels_prefiltered_once(self, monkeypatch, reset_interval):
-        # one label window: one shared step, or four steps of a window
+        # each step of one label window (one shared step, or four steps of
+        # a window) prefilters each label field once
         solver = StochasticSolver(tg_config(n=32, realizations=8, reset_interval=reset_interval))
         labels = (solver.labels_u, solver.labels_omega)
         built = spline_builds(monkeypatch)
+        per_step = []
         for _ in range(reset_interval):
+            start = len(built)
             solver.step()
+            per_step.append([sum(v is label for v in built[start:]) for label in labels])
         # a d^2-component spline is the Newton fallback's grad xi
         assert [len(v) for v in built].count(4) == 0
-        assert [sum(v is label for v in built) for label in labels] == [1, 1]
+        assert per_step == [[1, 1]] * reset_interval
 
     def test_window_translates_nothing_and_projects_only_means(self, monkeypatch):
         # each recovery composes in the core frame, averages once in Fourier
@@ -497,6 +486,23 @@ class TestProbeSE:
         ms = [r["value"] for r in rows]
         slope = np.polyfit(np.log(ms), np.log(ses), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.15)
+
+    @pytest.mark.parametrize("reset_interval", [10, 1])
+    def test_accumulated_se_matches_seed_to_seed_spread(self, reset_interval):
+        # 24 seeds of 10 steps, one label window or ten; a step's SE already
+        # covers every shift since its window's reset, so a sum over every
+        # step of a window reads about 2.3x the spread
+        finals, accum = [], []
+        for seed in range(24):
+            solver = StochasticSolver(tg_config(n=32, realizations=16, seed=seed,
+                                                reset_interval=reset_interval))
+            for _ in range(10):
+                solver.step()
+            spline = FieldInterpolator(solver.grid, solver.u_values)
+            finals.append(spline.at(solver.probes))
+            accum.append(solver.diagnostics.column("probe_se_accum")[-1])
+        spread = np.max(np.std(finals, axis=0, ddof=1))
+        assert 0.75 <= np.mean(accum) / spread <= 1.33
 
 
 class TestConvergenceStudies:
