@@ -9,12 +9,14 @@ floor.
 """
 
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import alpha_general, fit_order, spde_residual
+import slns.recovery
 from slns.grid import Field, PeriodicGrid
 from slns.recovery import circulation, stochastic_velocity
 from slns.reference import (
@@ -24,7 +26,14 @@ from slns.reference import (
     taylor_green_2d,
     taylor_green_energy,
 )
-from slns.solver import SolverConfig, StochasticSolver, run
+from slns.solver import (
+    SolverConfig,
+    StochasticSolver,
+    oracle_solution,
+    relative_l2_error,
+    run,
+    spectral_resample,
+)
 from slns.spectral import (
     curl_values,
     gradient,
@@ -399,3 +408,55 @@ def test_criterion_11_manufactured_forcing(forced_runs):
         f"steady forced state held: energy error {err_e:.3e} <= {gate_e:.3e}, "
         f"field rel L2 {rel_errors[0]:.3e} <= {gate_f:.3e}",
     )
+
+
+# noise-free runs whose nonlinear term is not a gradient, against
+# spectral_ns at twice the resolution: (config, gate on the relative L2
+# error). The field moves by 9.98e-2 (3D) and 2.15e-1 (2D) over the run.
+NONLINEAR_CASES = {
+    "taylor-green-3d": (
+        dict(dim=3, n=16, dt=0.02, initial="taylor_green_3d"),
+        1e-4,
+    ),
+    "random-2d": (
+        dict(dim=2, n=32, dt=0.01, initial="random_band_limited",
+             initial_params={"kmax": 3, "seed": 1, "divergence_free": True}),
+        5e-4,
+    ),
+}
+
+
+def nonlinear_error(case: str) -> tuple[float, float]:
+    """The relative L2 error of a noise-free run of ``case`` to t = 0.4
+    against the spectral reference at 2n, and its gate. The reference must
+    not warn about energy at its cutoff."""
+    kw, gate = NONLINEAR_CASES[case]
+    cfg = SolverConfig(equation="euler", nu=0.0, t_end=0.4, realizations=1, **kw)
+    res = run(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = oracle_solution(replace(cfg, n=2 * cfg.n), cfg.t_end, "spectral_ns")
+    return relative_l2_error(spectral_resample(res.velocity, ref.grid.n), ref), gate
+
+
+@pytest.mark.parametrize("case", sorted(NONLINEAR_CASES))
+def test_criterion_12_nonlinear_euler_against_spectral(case):
+    err, gate = nonlinear_error(case)
+    assert err <= gate, f"{case}: rel L2 {err:.3e} > {gate:.0e}"
+    report(12, f"{case}: rel L2 {err:.3e} <= {gate:.0e} against spectral_ns at 2n")
+
+
+@pytest.mark.parametrize("case", sorted(NONLINEAR_CASES))
+def test_criterion_12_fails_with_a_transposed_weber_weight(monkeypatch, case):
+    # grad beta in place of grad^T beta in the Weber integrand: the error
+    # grows to about the size of the motion itself
+    real = slns.recovery.gradient_values
+
+    def transposed(values, ws):
+        g = real(values, ws)
+        d = ws.grid.dim
+        return np.swapaxes(g, -d - 2, -d - 1)
+
+    monkeypatch.setattr(slns.recovery, "gradient_values", transposed)
+    err, gate = nonlinear_error(case)
+    assert err > 10 * gate, f"{case}: the planted defect reads {err:.3e}"
