@@ -32,6 +32,6 @@ class NonInvertible(SLNSError):
 
 class NonFiniteVelocity(SLNSError):
     """The velocity holds a NaN or an infinity, at the start of a step or
-    after a Picard pass's recovery."""
+    after a pass's recovery."""
 
     exit_code = 4

@@ -102,7 +102,6 @@ def invert_core(
     order: int = 3,
     tol: float | None = None,
     det_dev: np.ndarray | None = None,
-    newton: np.ndarray | None = None,
 ) -> np.ndarray:
     """Invert ``Y = I + xi`` on the grid: returns the displacement ``beta``
     with ``Y(y + beta(y)) = y`` (mod L) at every node.
@@ -127,9 +126,7 @@ def invert_core(
     Raises :exc:`NonInvertible` if ``det(I + grad xi) <= 0`` at a node (the
     map folds and has no inverse) or a node misses ``tol`` after
     ``MAX_UPDATES`` updates. When ``det_dev`` (a one-element array) is given,
-    the fold check writes ``max |det(I + grad xi) - 1|`` into it; when
-    ``newton`` (a one-element bool array) is given, it records whether
-    damped Newton updated any node.
+    the fold check writes ``max |det(I + grad xi) - 1|`` into it.
     """
     d = grid.dim
     if tol is None:
@@ -219,8 +216,6 @@ def invert_core(
         r[:, active] = r_trial
         rnorm[active] = np.max(np.abs(r_trial), axis=0)
     a -= r * ~taken
-    if newton is not None:
-        newton[...] = taken.any()
     return grid.wrap_centered(a - x).reshape((d,) + grid.shape)
 
 
@@ -251,10 +246,7 @@ class FlowEnsemble:
     and labels are shared, else ``(M, c) + shape``.
     ``_det_dev`` is ``max |det(grad X) - 1|``; like ``beta`` it is 0 at the
     identity, None on an ensemble not yet inverted, and set by
-    :meth:`invert` from its fold checks. ``_euler`` is ``(u, dt)`` when the
-    core is exactly ``dt u`` on the nodes (the identity advanced one
-    ``stages=1`` step with drift ``u``), else None: then ``u`` composed
-    with the inverse core is ``-beta / dt`` (see ``recovery._integrand``).
+    :meth:`invert` from its fold checks.
     """
 
     def __init__(
@@ -280,7 +272,6 @@ class FlowEnsemble:
         new.chi = None
         new._integrands = {}
         new._det_dev = None
-        new._euler = None
         return new
 
     def reset(self) -> None:
@@ -292,7 +283,6 @@ class FlowEnsemble:
         self.chi = None
         self._integrands = {}
         self._det_dev = 0.0
-        self._euler = None
 
     @property
     def mode(self) -> str:
@@ -345,8 +335,6 @@ class FlowEnsemble:
         xi, lead = (self.xi, ()) if shared else (self.xi_general(), (self.m,))
         if shared and not xi.any():  # identity core: phi at the nodes
             new.xi = xi + phi
-            if stages == 1:
-                new._euler = (u_values, dt)
         else:
             pts = xi.reshape(lead + (d, -1)) + grid.coordinates().reshape(d, -1)
             if not shared:
@@ -365,25 +353,19 @@ class FlowEnsemble:
         the periodic core of each realization (the one core when shared).
         Raises :exc:`NonInvertible` if a core folds or its inversion stalls.
         Keeps the largest ``|det - 1|`` of the cores' fold checks for
-        :meth:`max_det_deviation`. A damped Newton update leaves its last
-        residual out of ``beta``, so it drops ``_euler``."""
+        :meth:`max_det_deviation`."""
         self._integrands = {}
         d = self.grid.dim
         cores = self.xi.reshape((-1, d) + self.grid.shape)
         beta = np.empty_like(cores)
         det_dev = np.empty(len(cores))
-        newton = np.zeros(len(cores), dtype=bool)
 
         def _one(i: int) -> None:
-            beta[i] = invert_core(
-                self.grid, cores[i], self.order, self.tol, det_dev[i : i + 1], newton[i : i + 1]
-            )
+            beta[i] = invert_core(self.grid, cores[i], self.order, self.tol, det_dev[i : i + 1])
 
         thread_map(_one, len(cores), self.workers)
         self.beta = beta.reshape(self.xi.shape)
         self._det_dev = float(det_dev.max())
-        if newton.any():
-            self._euler = None
 
     def _require_beta(self) -> np.ndarray:
         if self.beta is None:

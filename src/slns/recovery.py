@@ -22,10 +22,6 @@ once, to the averaged coefficients, before one inverse transform. One
 routine, :func:`_integrand`, builds the integrand and its transform and
 keeps both on the flow, so the per-realization diagnostics read them
 instead of rebuilding them.
-
-When the labels are the drift ``u`` of a one-stage step from the identity
-(a step's Euler predictor), the core is ``dt u`` and ``u o B`` is read off
-the inverse core as ``-beta / dt``; every other case composes the labels.
 """
 
 from __future__ import annotations
@@ -75,12 +71,7 @@ def _integrand(
     beta = flow._require_beta()
     lead = beta.shape[: -d - 1]  # () for one shared core, else (M,)
     pts = beta.reshape(lead + (d, -1)) + grid.coordinates().reshape(d, -1)
-    euler = flow._euler
-    if euler is not None and euler[0] is label_values:
-        # the core is dt S[u], and inversion verified a + dt S[u](a) = x + r
-        # before its last update a -= r: S[u] at the verified a is -beta / dt
-        vals = -beta / euler[1]
-    elif label_values.ndim == d + 1:
+    if label_values.ndim == d + 1:
         # one interpolator over the points of every core
         flat = np.moveaxis(pts, -2, 0).reshape(d, -1)
         vals = FieldInterpolator(grid, label_values, order=flow.order).at(flat)

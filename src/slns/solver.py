@@ -3,37 +3,32 @@
 One step of the scheme, for the current label data ``u0`` (velocity at the
 start of the label window):
 
-1. freeze the current velocity as the drift;
+1. freeze the drift: from the second step on, the velocity extrapolated to
+   the half step, ``1.5 u^n - 0.5 u^{n-1}``;
 2. advance every realization's forward map by one step of
-   ``dX = u dt + sqrt(2 nu) dW``; the noise is uniform in space, so the
-   step's deterministic map is built once on the grid nodes and composed
-   with every realization's map by one spline evaluation;
+   ``dX = u dt + sqrt(2 nu) dW`` with the two-stage rule along the
+   characteristic; the noise is uniform in space, so the step's
+   deterministic map is built once on the grid nodes and composed with
+   every realization's map by one spline evaluation;
 3. invert to the back-to-labels maps;
 4. recover the new velocity with the equation's formula (transported
    average for Burgers, projected Weber average for incompressible flow,
-   Helmholtz-filtered Weber pair for the alpha model); when a pass's
-   labels are its own drift and it took one Euler-Maruyama step from the
-   identity, the composed labels are read off the inverse map, so the
-   label array at a reset is the momentum array itself (never written in
-   place);
-5. optionally repeat the advance with the damped drift
-   ``(u_old + u_new) / 2`` (Picard iteration, Heun-like for 2 passes);
-6. every ``reset_interval`` steps, replace the label data with the current
+   Helmholtz-filtered Weber pair for the alpha model);
+5. every ``reset_interval`` steps, replace the label data with the current
    velocity and restart the maps at the identity (the semigroup property
    keeps the composition meaningful while the inversion stays
-   well-conditioned).
+   well-conditioned). ``u^{n-1}`` is a grid velocity, not a map, so it
+   carries across the reset.
 
-The same property restarts every pass but the last in the label-reset
-frame: one shared identity map advanced by the step's noise, with the
-current momentum as labels. Those passes only supply ``u_new`` for the
-averaged drift; the last pass advances the window's own maps from the
-window's labels and is the one committed. A step inside a window thus
-inverts one shared core per predictor pass and the window's M cores
-once; at a window's first step the two frames coincide.
-
-The drift feeds the SDE whose ensemble average defines the drift: the
-fixed point is resolved per step, which is the standard discrete surrogate
-for the implicit (McKean) formulation.
+The drift feeds the SDE whose ensemble average defines the drift (a
+McKean fixed point). Two-time-level semi-Lagrangian schemes take the
+half-step drift from the velocity history instead of a predictor
+(Staniforth & Cote, Mon. Wea. Rev. 119, 1991, section 3), so every step
+after the first advances, inverts and recovers once. The first step has
+no ``u^{-1}``: it runs ``picard_iters`` Picard passes, the first by the
+backend's own rule (one-stage Euler-Maruyama for ``direct_sde``, the
+two-stage rule for ``translated_flow``) with the drift ``u^0``, each later
+one by the two-stage rule with the drift ``(u^0 + u_new) / 2``.
 
 Viscosity only ever enters through the noise amplitude; no diffusion
 operator is applied to any field.
@@ -109,10 +104,10 @@ class SolverConfig:
 
     ``interpolation`` selects the composition spline ("cubic" by default,
     or "quintic"). ``workers`` threads the per-core inversion, with
-    results independent of it. Every step runs exactly
-    ``picard_iters`` Picard passes, which keeps runs bit-reproducible;
-    inside a label window all but the last run in the label-reset frame
-    (see the module docstring). The initial field is built and checked
+    results independent of it. ``picard_iters`` is the number of Picard
+    passes of the first step, which has no earlier velocity to
+    extrapolate from; every later step runs one pass (see the module
+    docstring). The initial field is built and checked
     once, with each ``initial_params`` value of the type of the
     generator's keyword default; :meth:`initial_field` returns copies.
     ``substeps`` refines the Brownian paths so runs at coarser ``dt`` can
@@ -384,13 +379,9 @@ class StochasticSolver:
         u0 = config.initial_field()
 
         self.ensemble = WienerEnsemble(config.realizations, config.dim, config.seed, config.substeps)
-        # the window's maps, and the identity that the predictor passes of a
-        # step inside a window advance (advanced() never changes it)
-        self.flow, self._identity = (
-            FlowEnsemble(self.grid, config.realizations, order=self.order,
-                         tol=config.inversion_tol_factor * config.length, workers=config.workers)
-            for _ in range(2)
-        )
+        self.flow = FlowEnsemble(self.grid, config.realizations, order=self.order,
+                                 tol=config.inversion_tol_factor * config.length,
+                                 workers=config.workers)
 
         # Label data: the transported quantity on the current window.
         # For the alpha model the labels carry the momentum v and the drift
@@ -399,6 +390,7 @@ class StochasticSolver:
         self.labels_u = u0.values
         self.v_values = self.labels_u
         self.u_values = self._drift_from_momentum(self.v_values)
+        self._u_prev = None  # the velocity one step back, once there is one
         self.pin_mean = config.equation != "burgers" or config.dim == 1
         self.mean_target = self.labels_u.mean(axis=tuple(range(1, self.labels_u.ndim)))
 
@@ -481,7 +473,7 @@ class StochasticSolver:
 
         # label data of the forced formula: u0 plus the left-point sum of
         # (grad^T X) f(X) (Weber) or f(X) (Burgers) over the window so far;
-        # every Picard pass pins its mean to the one at t + dt
+        # every pass pins its mean to the one at t + dt
         label_u = self.labels_u
         if self.forcing is not None:
             inc = forcing_increment(self.flow, self.forcing, self.t, cfg.equation != "burgers")
@@ -491,32 +483,23 @@ class StochasticSolver:
                 axis=tuple(range(1, 1 + self.grid.dim))
             )
 
-        # Every pass but the last only supplies u* for the averaged drift, so
-        # it runs in the label-reset frame: the identity advanced by this
-        # step's noise, with the current momentum (plus dt f) as labels. At a
-        # window's first step that frame is the window itself.
-        frame, frame_labels = self.flow, label_u
-        if self.step_index % cfg.reset_interval != 0 and cfg.picard_iters > 1:
-            frame, frame_labels = self._identity, self.v_values
-            if self.forcing is not None:  # the identity's forcing increment
-                frame_labels = self.v_values + cfg.dt * f_nodes
-
-        drift = self.u_values
+        # one pass along the drift extrapolated to the half step; the first
+        # step has no u^{n-1} and runs picard_iters Picard passes
+        if self._u_prev is None:
+            passes, drift, stages = cfg.picard_iters, self.u_values, self._stages
+        else:
+            passes, drift, stages = 1, 1.5 * self.u_values - 0.5 * self._u_prev, 2
         chi = None
-        for it in range(cfg.picard_iters):
-            if it == cfg.picard_iters - 1 and frame is not self.flow:
-                # the committed pass advances the window; its shifts differ
-                frame, frame_labels, chi = self.flow, label_u, None
+        for it in range(passes):
             # Correction passes integrate the time-averaged drift along the
             # characteristic (two-stage update): plain re-advancing with an
             # averaged drift field would leave an O(dt) bias per unit time.
-            stages = self._stages if it == 0 else 2
-            trial = frame.advanced(drift, cfg.dt, noise, stages=stages)
-            # the passes in one frame add the same noise to the same shifts,
-            # so the characteristic function built by the first serves all
+            trial = self.flow.advanced(drift, cfg.dt, noise, stages=stages if it == 0 else 2)
+            # the passes add the same noise to the same shifts, so the
+            # characteristic function built by the first serves all
             trial.chi = chi
             trial.invert()
-            v_new = self._recover(trial, frame_labels)
+            v_new = self._recover(trial, label_u)
             chi = trial.chi
             u_new = self._drift_from_momentum(v_new)
             self._max_speed(u_new)
@@ -525,7 +508,7 @@ class StochasticSolver:
         # commit
         self.flow = trial
         self.v_values = v_new
-        self.u_values = u_new
+        self._u_prev, self.u_values = self.u_values, u_new
         self.labels_u = label_u
         if self.labels_omega is not None:
             self.omega_values = transported_vorticity_2d(trial, self.labels_omega)

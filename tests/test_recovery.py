@@ -7,10 +7,8 @@ from conftest import (
     alpha_general,
     composition_residual,
     fit_order,
-    spline_builds,
     taylor_green_2d_vorticity,
 )
-import slns.flowmap
 import slns.recovery
 from slns.flowmap import FlowEnsemble
 from slns.grid import Field, PeriodicGrid
@@ -26,7 +24,7 @@ from slns.recovery import (
     transported_vorticity_3d,
     weber_velocity,
 )
-from slns.reference import abc_flow, random_band_limited, sine_mode, taylor_green_2d
+from slns.reference import abc_flow, random_band_limited, taylor_green_2d
 from slns.solver import SolverConfig, StochasticSolver
 from slns.spectral import (
     SpectralWorkspace,
@@ -536,65 +534,3 @@ class TestIntegrandReuse:
                 before = first.copy()
                 first += 1.0
                 assert np.array_equal(recover(), before)
-
-
-def euler_predictor(u, cfl, m=8, nu=0.05):
-    """The identity advanced one ``stages=1`` step with drift ``u`` at the
-    given CFL number, with ``m`` realizations' noise, and inverted."""
-    grid = u.grid
-    dt = cfl * grid.spacing / np.max(np.abs(u.values))
-    noise = np.sqrt(2 * nu) * WienerEnsemble(m, grid.dim, 3).increments(0, dt)
-    fe = FlowEnsemble(grid, m).advanced(u.values, dt, noise)
-    fe.invert()
-    return fe
-
-
-class TestEulerPredictorLabels:
-    """With the drift as labels, the integrand reads ``u o B`` off the
-    inverse core (``-beta / dt``) instead of composing a label spline."""
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: sine_mode(PeriodicGrid(1, 256, L)),
-            lambda: taylor_green_2d(PeriodicGrid(2, 64, L)),
-            lambda: random_band_limited(
-                PeriodicGrid(2, 32, L), kmax=12, seed=1, components=2, divergence_free=True
-            ),
-            lambda: abc_flow(PeriodicGrid(3, 16, L)),
-        ],
-        ids=["burgers-1d", "taylor-green-2d", "random-kmax12-2d", "abc-3d"],
-    )
-    def test_labels_read_off_the_inverse_match_their_composition(self, monkeypatch, make):
-        # the composition evaluates u at the point a - r of the last,
-        # unverified fixed-point update; the shortcut at the verified a
-        u = make()
-        fe = euler_predictor(u, cfl=0.3)
-        built = spline_builds(monkeypatch)
-        short = slns.recovery._integrand(fe, u.values, weber=False)[0]
-        assert not built
-        composed = slns.recovery._integrand(fe, u.values.copy(), weber=False)[0]
-        assert len(built) == 1
-        grad_max = np.max(np.abs(gradient_values(u.values, workspace(u.grid))))
-        assert np.max(np.abs(short - composed)) <= u.grid.dim * fe.tol * grad_max
-
-    def test_newton_inversion_composes_the_labels(self, monkeypatch):
-        # damped Newton leaves its last residual out of beta, so -beta / dt
-        # would miss u at the verified point by up to tol / dt
-        u = random_band_limited(PeriodicGrid(2, 32, L), kmax=12, seed=1, components=2,
-                                divergence_free=True)
-        newton = []
-        real_invert = slns.flowmap.invert_core
-
-        def invert(*args):
-            beta = real_invert(*args)
-            newton.append(bool(args[-1][0]))
-            return beta
-
-        monkeypatch.setattr(slns.flowmap, "invert_core", invert)
-        fe = euler_predictor(u, cfl=0.45)
-        assert newton == [True]
-        built = spline_builds(monkeypatch)
-        labels = slns.recovery._integrand(fe, u.values, weber=True)[0]
-        assert [v is u.values for v in built] == [True]
-        assert np.array_equal(labels, slns.recovery._integrand(fe, u.values.copy(), weber=True)[0])

@@ -286,35 +286,66 @@ def _count_calls(monkeypatch, owner, name, calls=None):
 
 
 class TestPicardPasses:
+    """The first step runs ``picard_iters`` passes; every later step one,
+    along the drift extrapolated to the half step."""
+
     def test_characteristic_function_built_once_per_step(self, monkeypatch):
         calls = _count_calls(monkeypatch, slns.flowmap, "shift_mean_multiplier")
         solver = StochasticSolver(burgers_config(reset_interval=1, picard_iters=2))
-        solver.step()
-        assert len(calls) == 1
+        per_step = []
+        for _ in range(3):
+            before = len(calls)
+            solver.step()
+            per_step.append(len(calls) - before)
+        assert per_step == [1, 1, 1]
 
     def test_zero_tolerance_runs_every_pass(self, monkeypatch):
-        passes = _count_calls(monkeypatch, FlowEnsemble, "advanced")
-        cfg = tg_config(n=32, realizations=8, picard_iters=5)
-        StochasticSolver(cfg).step()
-        assert len(passes) == 5
+        seen = []  # the stage count of every advance
+        real = FlowEnsemble.advanced
+
+        def advanced(self, *args, stages=1):
+            seen.append(stages)
+            return real(self, *args, stages=stages)
+
+        monkeypatch.setattr(FlowEnsemble, "advanced", advanced)
+        solver = StochasticSolver(tg_config(n=32, realizations=8, picard_iters=5))
+        solver.step()
+        assert seen == [1, 2, 2, 2, 2]
+        solver.step()
+        assert seen[5:] == [2]
 
     @pytest.mark.parametrize("picard_iters", [1, 2, 3])
     def test_only_the_last_pass_inverts_the_window_cores(self, monkeypatch, picard_iters):
-        # inside a window the predictor passes invert the one shared core of
-        # the label-reset frame and share its chi, and only the committed
-        # pass inverts the M cores (their mean needs no chi); a window's
-        # first step is that frame, so every pass shares one chi
+        # the first step inverts the one shared core once per Picard pass,
+        # and its passes share one chi; every later step runs one pass,
+        # which inverts the window's M cores (their mean needs no chi), or
+        # the shared core once when labels reset every step
         cores = _count_calls(monkeypatch, slns.flowmap, "invert_core")
         chis = _count_calls(monkeypatch, slns.flowmap, "shift_mean_multiplier")
-        solver = StochasticSolver(tg_config(n=32, realizations=8, reset_interval=4,
-                                            picard_iters=picard_iters))
-        per_step = []
+        per_step = {}
+        for reset_interval in (4, 1):
+            solver = StochasticSolver(tg_config(n=32, realizations=8, reset_interval=reset_interval,
+                                                picard_iters=picard_iters))
+            per_step[reset_interval] = []
+            for _ in range(4):
+                before = len(cores), len(chis)
+                solver.step()
+                per_step[reset_interval].append((len(cores) - before[0], len(chis) - before[1]))
+        assert per_step[4] == [(picard_iters, 1)] + [(8, 0)] * 3
+        assert per_step[1] == [(picard_iters, 1)] + [(1, 1)] * 3
+
+    def test_drift_extrapolated_across_a_label_reset(self, monkeypatch):
+        drifts = _count_calls(monkeypatch, FlowEnsemble, "advanced")
+        solver = StochasticSolver(tg_config(n=32, realizations=8, reset_interval=2))
+        u = [solver.u_values]
         for _ in range(4):
-            before = len(cores), len(chis)
             solver.step()
-            per_step.append((len(cores) - before[0], len(chis) - before[1]))
-        inside = (picard_iters - 1 + 8, int(picard_iters > 1))
-        assert per_step == [(picard_iters, 1)] + [inside] * 3
+            u.append(solver.u_values)
+        # args are (ensemble, u_values, dt, noise); steps 3 and 4 follow the
+        # reset that ends step 2
+        assert len(drifts) == 2 + 3
+        for n, args in zip((1, 2, 3), drifts[2:]):
+            assert np.array_equal(args[1], 1.5 * u[n] - 0.5 * u[n - 1])
 
 
 class TestWorkPerStep:
@@ -323,7 +354,8 @@ class TestWorkPerStep:
     @pytest.mark.parametrize("reset_interval", [1, 4])
     def test_no_gradient_spline_and_labels_prefiltered_once(self, monkeypatch, reset_interval):
         # each step of one label window (one shared step, or four steps of
-        # a window) prefilters each label field once
+        # a window) prefilters each label field once, except that each of
+        # the first step's two Picard passes composes the velocity labels
         solver = StochasticSolver(tg_config(n=32, realizations=8, reset_interval=reset_interval))
         labels = (solver.labels_u, solver.labels_omega)
         built = spline_builds(monkeypatch)
@@ -334,11 +366,12 @@ class TestWorkPerStep:
             per_step.append([sum(v is label for v in built[start:]) for label in labels])
         # a d^2-component spline is the Newton fallback's grad xi
         assert [len(v) for v in built].count(4) == 0
-        assert per_step == [[1, 1]] * reset_interval
+        assert per_step == [[2, 1]] + [[1, 1]] * (reset_interval - 1)
 
     def test_window_translates_nothing_and_projects_only_means(self, monkeypatch):
         # each recovery composes in the core frame, averages once in Fourier
-        # space and projects that one mean: 4 steps x 2 Picard passes
+        # space and projects that one mean: 2 Picard passes in the first
+        # step, then one pass in each of the other 3
         translated, projected = [], []
         for module in (slns.flowmap, slns.recovery):
             _count_calls(monkeypatch, module, "translate_batch", translated)
@@ -348,7 +381,7 @@ class TestWorkPerStep:
         for _ in range(4):
             solver.step()
         assert len(translated) == 0
-        assert [args[0].shape for args in projected] == [(2, 32, 17)] * 8
+        assert [args[0].shape for args in projected] == [(2, 32, 17)] * 5
 
     def test_one_xi_evaluation_per_node_per_core(self, monkeypatch):
         # the Taylor start meets tol at every node of a shared core, so the
@@ -376,6 +409,15 @@ class TestWorkPerStep:
         solver.step()
         assert per_core and per_core == [32 * 32] * len(per_core)
 
+    def test_second_shared_step_composes_its_labels_once(self, monkeypatch):
+        # one pass: the two-stage rule's drift spline, the core's inversion,
+        # the labels (the ones the first step's reset set), then vorticity
+        # and the probes (3 points per realization)
+        solver = StochasticSolver(tg_config())
+        solver.step()
+        n = 64 * 64
+        assert _points_per_pass(monkeypatch, solver) == [[n, n, n, n, 3 * 64]]
+
 
 def _points_per_pass(monkeypatch, solver):
     """The point count of every ``FieldInterpolator.at`` call in the next
@@ -399,30 +441,11 @@ def _points_per_pass(monkeypatch, solver):
 
 
 class TestEulerPredictorLabels:
-    """The one-stage predictor from the identity reads its labels, the
-    drift, off its inverse core instead of composing them."""
+    """The first step's predictor pass (one-stage for ``direct_sde``)
+    composes its labels like every other pass."""
 
     N = 64 * 64
     PROBES = 3 * 64  # the default probes, once per realization
-
-    def test_shared_predictor_composes_no_labels(self, monkeypatch):
-        # pass 0: the inversion's residual check only; pass 1: the Heun
-        # drift, the core's inversion, the labels, then vorticity and probes.
-        # The second step's labels are the ones the first step's reset set.
-        solver = StochasticSolver(tg_config())
-        solver.step()
-        passes = _points_per_pass(monkeypatch, solver)
-        n = self.N
-        assert passes == [[n], [n, n, n, n, self.PROBES]]
-
-    def test_window_predictor_builds_no_momentum_spline(self, monkeypatch):
-        solver = StochasticSolver(tg_config(n=32, realizations=8, reset_interval=4))
-        solver.step()
-        assert solver.step_index % 4 != 0  # the next step is inside the window
-        momentum = solver.v_values
-        built = spline_builds(monkeypatch)
-        solver.step()
-        assert not any(v is momentum for v in built)
 
     @pytest.mark.parametrize(
         "kw, first_pass, last_pass",
