@@ -490,11 +490,8 @@ class StochasticSolver:
         else:
             passes, drift, stages = 1, 1.5 * self.u_values - 0.5 * self._u_prev, 2
         chi = None
-        for it in range(passes):
-            # Correction passes integrate the time-averaged drift along the
-            # characteristic (two-stage update): plain re-advancing with an
-            # averaged drift field would leave an O(dt) bias per unit time.
-            trial = self.flow.advanced(drift, cfg.dt, noise, stages=stages if it == 0 else 2)
+        for _ in range(passes):
+            trial = self.flow.advanced(drift, cfg.dt, noise, stages=stages)
             # the passes add the same noise to the same shifts, so the
             # characteristic function built by the first serves all
             trial.chi = chi
@@ -503,7 +500,10 @@ class StochasticSolver:
             chi = trial.chi
             u_new = self._drift_from_momentum(v_new)
             self._max_speed(u_new)
-            drift = 0.5 * (self.u_values + u_new)
+            # Correction passes integrate the time-averaged drift along the
+            # characteristic (two-stage update): plain re-advancing with an
+            # averaged drift field would leave an O(dt) bias per unit time.
+            drift, stages = 0.5 * (self.u_values + u_new), 2
 
         # commit
         self.flow = trial

@@ -203,7 +203,7 @@ class TestSteadyEuler:
 
     def test_reset_interval_invariance_unsteady(self):
         # Taylor-Green is steady under Euler, so only a moving field shows a
-        # window whose predictor passes compose the wrong labels
+        # window that composes the wrong labels
         cfg = tg_config(equation="euler", nu=0.0, realizations=1, n=32, t_end=0.05,
                         initial="random_band_limited",
                         initial_params={"kmax": 2, "seed": 8, "divergence_free": True})
@@ -334,9 +334,12 @@ class TestPicardPasses:
         assert per_step[4] == [(picard_iters, 1)] + [(8, 0)] * 3
         assert per_step[1] == [(picard_iters, 1)] + [(1, 1)] * 3
 
-    def test_drift_extrapolated_across_a_label_reset(self, monkeypatch):
+    # the alpha model extrapolates the filtered velocity u, not the momentum
+    @pytest.mark.parametrize("kw", [{}, dict(equation="lans_alpha", alpha=0.5)],
+                             ids=["navier-stokes", "lans-alpha"])
+    def test_drift_extrapolated_across_a_label_reset(self, monkeypatch, kw):
         drifts = _count_calls(monkeypatch, FlowEnsemble, "advanced")
-        solver = StochasticSolver(tg_config(n=32, realizations=8, reset_interval=2))
+        solver = StochasticSolver(tg_config(n=32, realizations=8, reset_interval=2, **kw))
         u = [solver.u_values]
         for _ in range(4):
             solver.step()
@@ -421,8 +424,8 @@ class TestWorkPerStep:
 
 def _points_per_pass(monkeypatch, solver):
     """The point count of every ``FieldInterpolator.at`` call in the next
-    step of ``solver``, one list per Picard pass (the last pass's list ends
-    with the step's diagnostics)."""
+    step of ``solver``, one list per pass (the last pass's list ends with
+    the step's diagnostics)."""
     passes = []
     real_advanced, real_at = FlowEnsemble.advanced, FieldInterpolator.at
 
