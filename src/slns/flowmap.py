@@ -40,7 +40,6 @@ import numpy as np
 
 from .errors import NonInvertible
 from .grid import PeriodicGrid
-from .utils import thread_map
 from .interp import FieldInterpolator
 from .spectral import (
     SpectralWorkspace,
@@ -99,7 +98,6 @@ _NEWTON_HALVINGS = 6
 def invert_core(
     grid: PeriodicGrid,
     xi: np.ndarray,
-    order: int = 3,
     tol: float | None = None,
     det_dev: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -155,7 +153,7 @@ def invert_core(
             f"map folds: det(I + grad xi) = {det_min:.3e} <= 0 at a grid node "
             "(reduce dt or the reset interval)"
         )
-    xi_interp = FieldInterpolator(grid, xi, order, spectrum=xi_hat)
+    xi_interp = FieldInterpolator(grid, xi, spectrum=xi_hat)
     grad_interp = None
 
     x = grid.coordinates().reshape(d, -1)
@@ -197,7 +195,7 @@ def invert_core(
             if stalled.any():
                 trial[:, stalled] = a_act[:, stalled]
                 r_trial[:, stalled] = r_act[:, stalled]
-                grad_interp = FieldInterpolator(grid, grad_xi, order, spectrum=spec[: d * d])
+                grad_interp = FieldInterpolator(grid, grad_xi, spectrum=spec[: d * d])
         else:
             taken |= active
             jac = grad_interp.at(a_act).reshape(d, d, -1) + np.eye(d)[:, :, None]
@@ -249,19 +247,10 @@ class FlowEnsemble:
     :meth:`invert` from its fold checks.
     """
 
-    def __init__(
-        self,
-        grid: PeriodicGrid,
-        realizations: int,
-        order: int = 3,
-        tol: float | None = None,
-        workers: int = 1,
-    ):
+    def __init__(self, grid: PeriodicGrid, realizations: int, tol: float | None = None):
         self.grid = grid
         self.m = realizations
-        self.order = order
         self.tol = DEFAULT_TOL_FACTOR * grid.length if tol is None else tol
-        self.workers = workers
         self.reset()
 
     # -- representation helpers ------------------------------------------
@@ -325,7 +314,7 @@ class FlowEnsemble:
             phi = dt * u_values
         else:
             k1 = u_values.reshape(d, -1)
-            k2 = FieldInterpolator(grid, u_values, self.order).at(
+            k2 = FieldInterpolator(grid, u_values).at(
                 grid.coordinates().reshape(d, -1) + dt * k1
             )
             phi = ((0.5 * dt) * (k1 + k2)).reshape((d,) + grid.shape)
@@ -340,7 +329,7 @@ class FlowEnsemble:
             if not shared:
                 pts = pts + self.shifts[:, :, None]
             flat = np.moveaxis(pts, -2, 0).reshape(d, -1)
-            incr = FieldInterpolator(grid, phi, self.order).at(flat)
+            incr = FieldInterpolator(grid, phi).at(flat)
             incr = np.moveaxis(incr.reshape((d,) + lead + (-1,)), 0, -2)
             new.xi = xi + incr.reshape(lead + (d,) + grid.shape)
         new.shifts = self.shifts if noise is None else self.shifts + noise
@@ -359,11 +348,8 @@ class FlowEnsemble:
         cores = self.xi.reshape((-1, d) + self.grid.shape)
         beta = np.empty_like(cores)
         det_dev = np.empty(len(cores))
-
-        def _one(i: int) -> None:
-            beta[i] = invert_core(self.grid, cores[i], self.order, self.tol, det_dev[i : i + 1])
-
-        thread_map(_one, len(cores), self.workers)
+        for i, core in enumerate(cores):
+            beta[i] = invert_core(self.grid, core, self.tol, det_dev[i : i + 1])
         self.beta = beta.reshape(self.xi.shape)
         self._det_dev = float(det_dev.max())
 

@@ -1,10 +1,8 @@
 """Periodic interpolation of grid fields at arbitrary points.
 
-Default scheme is the periodic interpolating cubic spline (exact at the
-nodes, fourth-order between them); a quintic upgrade serves studies where
-composition error must sit far below the time discretization.
-Compositions like ``u0(A(x))`` route through here, so this is the hot
-path of the whole solver.
+The scheme is the periodic interpolating cubic spline (exact at the
+nodes, fourth-order between them). Compositions like ``u0(A(x))`` route
+through here, so this is the hot path of the whole solver.
 
 On a periodic grid the spline interpolation condition is a circulant
 system, so the B-spline coefficients are one spectral division of the
@@ -21,29 +19,23 @@ from .spectral import SpectralWorkspace, workspace
 
 _MODE = "grid-wrap"
 
-_inverse_symbols: dict[tuple[PeriodicGrid, int], np.ndarray] = {}
+_inverse_symbols: dict[PeriodicGrid, np.ndarray] = {}
 
 
-def _inverse_symbol(ws: SpectralWorkspace, order: int) -> np.ndarray:
-    """``1 / B_hat`` over the half spectrum, cached per grid and order.
+def _inverse_symbol(ws: SpectralWorkspace) -> np.ndarray:
+    """``1 / B_hat`` over the half spectrum, cached per grid.
 
-    ``B_hat = prod_j b(theta_j)``, ``theta_j = k_j h``, is the symbol of the
-    B-spline sampled at the nodes: ``b = (4 + 2 cos theta) / 6`` (cubic)
-    or ``(66 + 52 cos theta + 2 cos 2 theta) / 120`` (quintic). It is
-    bounded below by ``1/3`` and ``2/15``, so the division is well posed.
+    ``B_hat = prod_j (4 + 2 cos theta_j) / 6``, ``theta_j = k_j h``, is the
+    symbol of the cubic B-spline sampled at the nodes. It is bounded below
+    by ``1/3``, so the division is well posed.
     """
-    key = (ws.grid, order)
-    inv = _inverse_symbols.get(key)
+    inv = _inverse_symbols.get(ws.grid)
     if inv is None:
         symbol = 1.0
         for k in ws.k_full:
-            theta = k * ws.grid.spacing
-            if order == 3:
-                b = (4.0 + 2.0 * np.cos(theta)) / 6.0
-            else:
-                b = (66.0 + 52.0 * np.cos(theta) + 2.0 * np.cos(2.0 * theta)) / 120.0
-            symbol = symbol * b
-        inv = _inverse_symbols[key] = 1.0 / symbol
+            # the factor is formed first: it fixes the rounding of every run
+            symbol = symbol * ((4.0 + 2.0 * np.cos(k * ws.grid.spacing)) / 6.0)
+        inv = _inverse_symbols[ws.grid] = 1.0 / symbol
     return inv
 
 
@@ -61,17 +53,14 @@ class FieldInterpolator:
         self,
         grid: PeriodicGrid,
         values: np.ndarray,
-        order: int = 3,
+        *,
         spectrum: np.ndarray | None = None,
     ):
-        if order not in (3, 5):
-            raise ValueError("interpolation order must be 3 (cubic) or 5 (quintic)")
         values = np.asarray(values, dtype=np.float64)
         d = grid.dim
         if values.shape[-d:] != grid.shape:
             raise ValueError(f"values shape {values.shape} does not end in grid shape {grid.shape}")
         self.grid = grid
-        self.order = order
         ws = workspace(grid)
         if spectrum is not None and spectrum.shape != values.shape[:-d] + ws.spectral_shape:
             raise ValueError(
@@ -80,7 +69,7 @@ class FieldInterpolator:
             )
         if spectrum is None:
             spectrum = ws.fft(values)
-        coeffs = ws.ifft(spectrum * _inverse_symbol(ws, order))
+        coeffs = ws.ifft(spectrum * _inverse_symbol(ws))
         self._coeffs = coeffs.reshape((-1,) + grid.shape)
 
     def at(self, points: np.ndarray) -> np.ndarray:
@@ -96,7 +85,7 @@ class FieldInterpolator:
         out = np.empty((self._coeffs.shape[0], idx.shape[1]))
         for c, coef in enumerate(self._coeffs):
             ndimage.map_coordinates(
-                coef, idx, output=out[c], order=self.order, mode=_MODE, prefilter=False
+                coef, idx, output=out[c], order=3, mode=_MODE, prefilter=False
             )
         return out.reshape((self._coeffs.shape[0],) + tail)
 
@@ -105,7 +94,6 @@ def interpolate_batch(
     grid: PeriodicGrid,
     values: np.ndarray,
     points: np.ndarray,
-    order: int = 3,
     spectra: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-realization interpolation: ``values`` is ``(M, c, spatial)``,
@@ -118,5 +106,5 @@ def interpolate_batch(
     out = np.empty((m, values.shape[1]) + points.shape[2:])
     for i in range(m):
         spectrum = None if spectra is None else spectra[i]
-        out[i] = FieldInterpolator(grid, values[i], order, spectrum=spectrum).at(points[i])
+        out[i] = FieldInterpolator(grid, values[i], spectrum=spectrum).at(points[i])
     return out

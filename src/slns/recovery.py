@@ -74,12 +74,12 @@ def _integrand(
     if label_values.ndim == d + 1:
         # one interpolator over the points of every core
         flat = np.moveaxis(pts, -2, 0).reshape(d, -1)
-        vals = FieldInterpolator(grid, label_values, order=flow.order).at(flat)
+        vals = FieldInterpolator(grid, label_values).at(flat)
         vals = np.moveaxis(vals.reshape((c,) + lead + (-1,)), 0, -2)
     else:
         lead = (flow.m,)
         pts = np.broadcast_to(pts, lead + pts.shape[-2:])
-        vals = interpolate_batch(grid, label_values, pts, order=flow.order)
+        vals = interpolate_batch(grid, label_values, pts)
     vals = vals.reshape(lead + (c,) + grid.shape)
     if weber:
         grad = gradient_values(beta, workspace(grid))  # [.., j, i] = d_i beta_j
@@ -135,10 +135,10 @@ def probe_spread(
     # realization m sees its core-frame integrand at (p - s_m)
     if vals.ndim == grid.dim + 1:
         pts = probes[:, None, :] - flow.shifts.T[:, :, None]  # (d, M, P)
-        spline = FieldInterpolator(grid, vals, flow.order, spectrum=vals_hat)
+        spline = FieldInterpolator(grid, vals, spectrum=vals_hat)
         return np.moveaxis(spline.at(pts), 0, 1)
     pts = probes[None] - flow.shifts[:, :, None]  # (M, d, P)
-    return interpolate_batch(grid, vals, pts, order=flow.order, spectra=vals_hat)
+    return interpolate_batch(grid, vals, pts, spectra=vals_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +253,6 @@ def circulation(
     xi_values: np.ndarray,
     shift: np.ndarray,
     curve,
-    order: int = 3,
 ) -> dict:
     """Both sides of the circulation identity for one realization.
 
@@ -272,13 +271,13 @@ def circulation(
         raise ValueError(f"curve must return shape ({d}, n)")
     dq = _closed_curve_tangent(q)
 
-    u0_at = FieldInterpolator(grid, u0_values, order=order).at(q)
+    u0_at = FieldInterpolator(grid, u0_values).at(q)
     gamma_initial = float(np.mean(np.sum(u0_at * dq, axis=0)))
 
-    xi_at = FieldInterpolator(grid, xi_values, order=order).at(q)
+    xi_at = FieldInterpolator(grid, xi_values).at(q)
     p = q + xi_at + np.asarray(shift)[:, None]
     dp = _closed_curve_tangent(p)
-    ut_at = FieldInterpolator(grid, u_tilde_values, order=order).at(p)
+    ut_at = FieldInterpolator(grid, u_tilde_values).at(p)
     gamma_transported = float(np.mean(np.sum(ut_at * dp, axis=0)))
 
     return {

@@ -25,10 +25,10 @@ McKean fixed point). Two-time-level semi-Lagrangian schemes take the
 half-step drift from the velocity history instead of a predictor
 (Staniforth & Cote, Mon. Wea. Rev. 119, 1991, section 3), so every step
 after the first advances, inverts and recovers once. The first step has
-no ``u^{-1}``: it runs ``picard_iters`` Picard passes, the first by the
-backend's own rule (one-stage Euler-Maruyama for ``direct_sde``, the
-two-stage rule for ``translated_flow``) with the drift ``u^0``, each later
-one by the two-stage rule with the drift ``(u^0 + u_new) / 2``.
+no ``u^{-1}``: it runs two Picard passes, a predictor by the backend's own
+rule (one-stage Euler-Maruyama for ``direct_sde``, the two-stage rule for
+``translated_flow``) with the drift ``u^0``, then a corrector by the
+two-stage rule with the drift ``(u^0 + u_new) / 2``.
 
 Viscosity only ever enters through the noise amplitude; no diffusion
 operator is applied to any field.
@@ -73,10 +73,12 @@ from .wiener import WienerEnsemble
 
 EQUATIONS = ("navier_stokes", "burgers", "euler", "lans_alpha")
 BACKENDS = ("direct_sde", "translated_flow")
-INTERPOLATIONS = {"cubic": 3, "quintic": 5}  # name -> spline order
 FORCINGS = ("steady_taylor_green", "constant")
 ORACLES = ("cole_hopf", "spectral_ns", "analytic")  # see oracle_solution
 CFL_MAX = 0.5  # a step fails when dt max|u| / h exceeds this
+# fields that accept one value, the one every run uses; the spline is cubic,
+# the inversion runs on one thread and the first step runs two passes
+PINNED = {"interpolation": "cubic", "workers": 1, "picard_iters": 2}
 CIRCULATION_REALIZATIONS = 2  # realizations whose circulation a probe reports
 PROBE_FRACTIONS = (0.251, 0.503, 0.757)  # probe points, as fractions of L on every axis
 # a value whose default is a bool, int, float or str must be one of these;
@@ -102,14 +104,11 @@ CIRCULATION_COLUMNS = ("time", "realization", "gamma_initial", "gamma_transporte
 class SolverConfig:
     """Full description of one run; every field has a validated default.
 
-    ``interpolation`` selects the composition spline ("cubic" by default,
-    or "quintic"). ``workers`` threads the per-core inversion, with
-    results independent of it. ``picard_iters`` is the number of Picard
-    passes of the first step, which has no earlier velocity to
-    extrapolate from; every later step runs one pass (see the module
-    docstring). The initial field is built and checked
-    once, with each ``initial_params`` value of the type of the
-    generator's keyword default; :meth:`initial_field` returns copies.
+    ``interpolation``, ``workers`` and ``picard_iters`` accept only their
+    :data:`PINNED` value (see the module docstring for the first step's
+    two passes). The initial field is built and checked once, with each
+    ``initial_params`` value of the type of the generator's keyword
+    default; :meth:`initial_field` returns copies.
     ``substeps`` refines the Brownian paths so runs at coarser ``dt`` can
     share noise with finer ones (common random numbers).
     """
@@ -161,14 +160,14 @@ class SolverConfig:
             raise ConfigError("dt must be positive and t_end nonnegative")
         if self.inversion_tol_factor <= 0:
             raise ConfigError("inversion_tol_factor must be positive")
-        for name in ("realizations", "reset_interval", "picard_iters", "workers", "substeps"):
+        for name, value in PINNED.items():
+            if getattr(self, name) != value:
+                raise ConfigError(f"{name} must be {value!r}, got {getattr(self, name)!r}")
+        for name in ("realizations", "reset_interval", "substeps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0 or self.snapshot_interval < 0:
             raise ConfigError("seed and snapshot_interval must be >= 0")
-        if self.interpolation not in INTERPOLATIONS:
-            raise ConfigError(f"interpolation must be one of {tuple(INTERPOLATIONS)}, "
-                              f"got {self.interpolation!r}")
         steps = self.t_end / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ConfigError("t_end must be an integer multiple of dt")
@@ -186,10 +185,6 @@ class SolverConfig:
     @property
     def num_steps(self) -> int:
         return int(round(self.t_end / self.dt))
-
-    @property
-    def interp_order(self) -> int:
-        return INTERPOLATIONS[self.interpolation]
 
     def grid(self) -> PeriodicGrid:
         return PeriodicGrid(self.dim, self.n, self.length)
@@ -375,13 +370,11 @@ class StochasticSolver:
         self.config = config
         self.grid = config.grid()
         self.ws = workspace(self.grid)
-        self.order = config.interp_order
         u0 = config.initial_field()
 
         self.ensemble = WienerEnsemble(config.realizations, config.dim, config.seed, config.substeps)
-        self.flow = FlowEnsemble(self.grid, config.realizations, order=self.order,
-                                 tol=config.inversion_tol_factor * config.length,
-                                 workers=config.workers)
+        self.flow = FlowEnsemble(self.grid, config.realizations,
+                                 tol=config.inversion_tol_factor * config.length)
 
         # Label data: the transported quantity on the current window.
         # For the alpha model the labels carry the momentum v and the drift
@@ -484,9 +477,9 @@ class StochasticSolver:
             )
 
         # one pass along the drift extrapolated to the half step; the first
-        # step has no u^{n-1} and runs picard_iters Picard passes
+        # step has no u^{n-1} and runs a predictor and a corrector pass
         if self._u_prev is None:
-            passes, drift, stages = cfg.picard_iters, self.u_values, self._stages
+            passes, drift, stages = 2, self.u_values, self._stages
         else:
             passes, drift, stages = 1, 1.5 * self.u_values - 0.5 * self._u_prev, 2
         chi = None
@@ -588,15 +581,7 @@ class StochasticSolver:
         labels = np.broadcast_to(label_u, xi.shape[:1] + label_u.shape[-self.grid.dim - 1 :])
         for m in range(sample):
             u_tilde = realization_field(self.flow, label_u, m, weber=True, project=True)
-            res = circulation(
-                self.grid,
-                labels[m],
-                u_tilde,
-                xi[m],
-                self.flow.shifts[m],
-                self.curve,
-                order=self.order,
-            )
+            res = circulation(self.grid, labels[m], u_tilde, xi[m], self.flow.shifts[m], self.curve)
             self.circulation_rows.append({"time": self.t, "realization": m, **res})
             worst = max(worst, res["defect"])
         return worst
@@ -683,11 +668,12 @@ def oracle_solution(config: SolverConfig, t, oracle: str = "analytic"):
     * ``cole_hopf``: the Cole-Hopf solution of 1D Burgers from ``sine_mode``
       data, for ``nu > 0``;
     * ``spectral_ns``: :func:`spectral_ns_run` of an incompressible run, with
-      the config's forcing, through every time in one integration; the
+      the config's forcing, through every time in one integration on ``2n``,
+      each state restricted to ``n`` by :func:`spectral_resample`; the
       interval ``D`` before each time takes steps of ``D / ceil(D / min(dt, 1e-2))``;
-    * ``analytic``: the closed form where one exists (``cole_hopf``, or the
+    * ``analytic``: the closed form where one exists (``cole_hopf``, the
       Taylor-Green field unforced or under ``steady_taylor_green``
-      forcing), else ``spectral_ns``.
+      forcing, or the unforced ABC field), else ``spectral_ns``.
 
     A :exc:`ConfigError` says why the named oracle does not apply.
     """
@@ -711,11 +697,10 @@ def oracle_solution(config: SolverConfig, t, oracle: str = "analytic"):
                       for s in times]
         except ValueError as exc:
             raise ConfigError(f"cole_hopf oracle: {exc}") from None
-        return fields if np.ndim(t) else fields[0]
-    if config.equation not in ("navier_stokes", "euler"):
+    elif config.equation not in ("navier_stokes", "euler"):
         raise ConfigError(f"no {oracle} oracle for equation={config.equation}: "
                           "the spectral reference needs an incompressible run")
-    if (
+    elif (
         oracle == "analytic"
         and config.initial == "taylor_green_2d"
         and config.forcing in (None, "steady_taylor_green")
@@ -726,9 +711,18 @@ def oracle_solution(config: SolverConfig, t, oracle: str = "analytic"):
         held = config.forcing_params.get("amplitude", 1.0) if config.forcing else 0.0
         rate = taylor_green_decay_rate(config.length, config.nu)
         fields = [taylor_green_2d(grid, held + (amp - held) * np.exp(-rate * s)) for s in times]
-        return fields if np.ndim(t) else fields[0]
-    return spectral_ns_run(config.initial_field(), config.nu, min(config.dt, 1e-2), t,
-                           forcing=config.forcing_fn())
+    elif oracle == "analytic" and config.initial == "abc_flow" and config.forcing is None:
+        # a Beltrami field, curl u = (2 pi / L) u: its advection is a
+        # gradient, so it too decays as a Stokes eigenmode
+        u0 = config.initial_field()
+        rate = config.nu * (2.0 * np.pi / config.length) ** 2
+        fields = [Field(grid, u0.values * np.exp(-rate * s)) for s in times]
+    else:
+        fine = replace(config, n=2 * config.n)
+        refs = spectral_ns_run(fine.initial_field(), config.nu, min(config.dt, 1e-2), times,
+                               forcing=config.forcing_fn())
+        fields = [spectral_resample(r, config.n) for r in refs]
+    return fields if np.ndim(t) else fields[0]
 
 
 def relative_l2_error(a: Field, b: Field) -> float:

@@ -6,7 +6,7 @@ from a generator seeded by ``SeedSequence(seed, spawn_key=(j,))`` and
 realization ``m`` owns row ``m``. Because numpy fills the block
 sequentially, row ``m`` never depends on how many rows were requested, so
 
-* results do not depend on query order or worker count;
+* results do not depend on query order;
 * a smaller ensemble built with the same seed and ``substeps``
   reproduces the first rows of a larger one bit for bit (common random
   numbers across ensemble sizes).

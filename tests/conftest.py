@@ -29,9 +29,9 @@ def spline_builds(monkeypatch):
     built = []
     original = FieldInterpolator.__init__
 
-    def counted(self, grid, values, order=3, spectrum=None):
+    def counted(self, grid, values, *, spectrum=None):
         built.append(values)
-        original(self, grid, values, order, spectrum=spectrum)
+        original(self, grid, values, spectrum=spectrum)
 
     monkeypatch.setattr(FieldInterpolator, "__init__", counted)
     return built
@@ -54,7 +54,7 @@ def composition_residual(flow):
     worst = 0.0
     for xi, b in cores:
         pts = coords + b
-        xi_interp = FieldInterpolator(grid, xi, order=flow.order)
+        xi_interp = FieldInterpolator(grid, xi)
         res = grid.wrap_centered(pts + xi_interp.at(pts) - coords)
         worst = max(worst, float(np.max(np.abs(res))))
     return worst

@@ -119,15 +119,16 @@ class TestConfigFile:
         assert compare_gates(eff)["rel_l2_max"] == 0.2
 
     def test_every_run_key_roundtrips(self, tmp_path):
-        # every [run] value differs from its default, so a key that
-        # save_effective leaves out comes back as the default
+        # every [run] value but a pinned one differs from its default, so a
+        # key that save_effective leaves out comes back as the default
         run = dict(equation="lans_alpha", dim=3, n=16, length=3.0, nu=0.07, alpha=0.1,
-                   dt=0.002, t_end=0.01, realizations=8, reset_interval=3, picard_iters=3,
-                   seed=5, backend="translated_flow", interpolation="quintic",
-                   inversion_tol_factor=1e-9, workers=2, substeps=2)
+                   dt=0.002, t_end=0.01, realizations=8, reset_interval=3,
+                   seed=5, backend="translated_flow",
+                   inversion_tol_factor=1e-9, substeps=2, **slns.solver.PINNED)
         assert set(run) == set(slns.config._RUN_KEYS)
         default = SolverConfig()
-        assert all(value != getattr(default, key) for key, value in run.items())
+        assert all(value != getattr(default, key) for key, value in run.items()
+                   if key not in slns.solver.PINNED)
         cfg = SolverConfig(**run, initial="abc_flow")
         eff = tmp_path / "effective.cfg"
         save_effective(cfg, eff)
@@ -233,16 +234,6 @@ radius = 1.0
         assert main(["run", str(p)]) == 1
         assert capsys.readouterr().err.count("forcing") >= 2
         assert not (tmp_path / "out").exists()
-
-    def test_workers_flag_invariant(self, tmp_path):
-        p = write_cfg(tmp_path, TG_CFG)
-        main(["run", str(p), "--output-dir", str(tmp_path / "w1"),
-              "--set", "run.reset_interval=50"])
-        main(["run", str(p), "--output-dir", str(tmp_path / "w4"),
-              "--set", "run.reset_interval=50", "--set", "run.workers=4"])
-        assert (tmp_path / "w1" / "diag.csv").read_bytes() == (
-            tmp_path / "w4" / "diag.csv"
-        ).read_bytes()
 
     def test_run_files_independent_of_hash_seed(self, tmp_path):
         # effective.cfg lists its keys in a fixed order: two processes with
@@ -377,7 +368,11 @@ radius = 1.0
             "run.workers=0",
             "run.workers=-2",
             "run.substeps=0",
-            "run.interpolation=linear",  # only cubic and quintic splines
+            "run.interpolation=linear",
+            # pinned to the one value every run uses
+            "run.workers=4",
+            "run.interpolation=quintic",
+            "run.picard_iters=3",
             "run.seed=-1",
             "output.snapshot_interval=-1",  # `step % -1 == 0` on every step
             "output.probes=",
@@ -392,7 +387,8 @@ radius = 1.0
     def test_out_of_range_run_value_exit_1(self, tmp_path, capsys, override):
         p = write_cfg(tmp_path, TG_CFG)
         assert main(["run", str(p), "--set", override]) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and override.split("=")[0].split(".")[1] in err
 
     @pytest.mark.parametrize(
         "text",

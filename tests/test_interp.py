@@ -57,16 +57,16 @@ class TestCubicSpline:
 
 
 class TestCoefficients:
-    @pytest.mark.parametrize("order", [3, 5])
+    @pytest.mark.parametrize("order", [3])
     @pytest.mark.parametrize("dim, n", [(1, 256), (2, 64), (3, 16)])
     def test_spectral_division_matches_spline_filter(self, dim, n, order):
         grid = PeriodicGrid(dim, n, 2 * np.pi)
         vals = np.random.default_rng(dim).standard_normal((2,) + grid.shape)
         ref = spline_filter_coeffs(vals, order)
-        coeffs = FieldInterpolator(grid, vals, order)._coeffs
+        coeffs = FieldInterpolator(grid, vals)._coeffs
         assert np.max(np.abs(coeffs - ref)) <= 1e-12 * np.max(np.abs(vals))
         spectrum = workspace(grid).fft(vals)
-        given = FieldInterpolator(grid, vals, order, spectrum=spectrum)._coeffs
+        given = FieldInterpolator(grid, vals, spectrum=spectrum)._coeffs
         assert np.array_equal(given, coeffs)
 
     @pytest.mark.parametrize("shape", [(2, 32, 32), (64, 64, 2), (64,)])

@@ -31,10 +31,12 @@ def test_bindings_resolve(tracer_module):
 
 
 def test_positional_arguments_it_reads():
-    # the tracer reads FieldInterpolator(grid, values, order) and .at(points)
-    # by position, and counts the xi points invert_core evaluates
-    init = list(inspect.signature(slns.FieldInterpolator.__init__).parameters)
-    assert init[:4] == ["self", "grid", "values", "order"]
+    # the tracer reads FieldInterpolator(grid, values) and .at(points) by
+    # position, and takes a fourth positional argument as the spline order,
+    # so none may sit there; it counts the xi points invert_core evaluates
+    init = list(inspect.signature(slns.FieldInterpolator.__init__).parameters.values())
+    assert [p.name for p in init[:3]] == ["self", "grid", "values"]
+    assert all(p.kind is p.KEYWORD_ONLY for p in init[3:])
     assert list(inspect.signature(slns.FieldInterpolator.at).parameters) == ["self", "points"]
     assert list(inspect.signature(slns.invert_core).parameters)[:2] == ["grid", "xi"]
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import slns.solver
 from slns.solver import StochasticSolver, oracle_solution, relative_l2_error
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,3 +38,9 @@ def test_every_workload_runs_and_reads_its_oracle(workloads_module):
         error = relative_l2_error(solver.velocity_field(), oracle_solution(cfg, solver.t))
         values = [se, error, workload.gate(ROOT)]
         assert np.isfinite(values).all(), (name, values)
+
+
+def test_workloads_pass_every_pinned_field(workloads_module):
+    # a pinned field stays only while the benchmark passes it: once COMMON
+    # drops a name, its field and its pin go too
+    assert set(slns.solver.PINNED) <= set(workloads_module.COMMON)
