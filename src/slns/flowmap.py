@@ -16,8 +16,10 @@ the periodic core ``I + xi_m`` and translating:
 so inversion (a fold check, a start from the quadratic Taylor model of
 ``xi`` at each node, then fixed-point iteration with a damped Newton
 fallback) only ever sees the periodic core, and ``A_m`` is never formed:
-callers translate what they build on ``B_m`` by ``s_m`` with the spectral
-phases of :func:`~slns.spectral.shift_phases` (:func:`translate_batch`).
+recovery averages the translates by ``s_m`` of what it builds on ``B_m``
+in Fourier space, by the shifts' characteristic function for one shared
+core or :func:`~slns.spectral.shift_mean_coeffs` for one core per
+realization. :func:`translate_batch` only serves single realizations.
 Immediately after a label reset all realizations share one core (``xi_m``
 identical for all ``m``); the ensemble stays in that cheap shared
 representation until a subsequent drift evaluation makes the cores diverge.

@@ -134,9 +134,11 @@ def probe_spread(
     vals, vals_hat = _integrand(flow, label_values, weber)
     # realization m sees its core-frame integrand at (p - s_m)
     if vals.ndim == grid.dim + 1:
-        pts = probes[:, None, :] - flow.shifts.T[:, :, None]  # (d, M, P)
+        # realization-last points, so the result's realization axis is the
+        # contiguous one that the diagnostics reduce along
+        pts = probes[:, :, None] - flow.shifts.T[:, None, :]  # (d, P, M)
         spline = FieldInterpolator(grid, vals, spectrum=vals_hat)
-        return np.moveaxis(spline.at(pts), 0, 1)
+        return np.moveaxis(spline.at(pts), -1, 0)
     pts = probes[None] - flow.shifts[:, :, None]  # (M, d, P)
     return interpolate_batch(grid, vals, pts, spectra=vals_hat)
 

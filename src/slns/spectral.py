@@ -159,21 +159,20 @@ def curl_values(values: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
 
 
 def _phase_ladder(
-    shift_axis: np.ndarray, count: int, scale: float, out: np.ndarray | None = None
+    unit: np.ndarray, count: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """``exp(-i k scale c)`` for harmonics ``k = 0 .. count - 1``, shape
-    ``(count, M)``, written into ``out`` when given.
+    """``unit**k`` for harmonics ``k = 0 .. count - 1``, shape
+    ``(count, M)``, written into ``out`` when given; ``unit`` is one phase
+    ``exp(-i c)`` per realization.
 
-    Built from one phase per realization by doubling: rows ``0 .. L-1``
-    times harmonic ``L`` give rows ``L .. 2L-1``. That is
-    ``log2(count)`` contiguous vectorized products, and the rounding error
-    grows with the number of doublings rather than with the harmonic.
+    Built by doubling: rows ``0 .. L-1`` times harmonic ``L`` give rows
+    ``L .. 2L-1``. That is ``log2(count)`` contiguous vectorized products,
+    and the rounding error grows with the number of doublings rather than
+    with the harmonic.
     """
-    powers = np.empty((count, shift_axis.shape[0]), dtype=complex) if out is None else out
+    powers = np.empty((count, unit.shape[0]), dtype=complex) if out is None else out
     powers[0] = 1.0
-    phase = scale * shift_axis
-    powers[1].real = np.cos(phase)  # exp(-i phase); a complex exp costs about twice as much
-    powers[1].imag = -np.sin(phase)
+    powers[1] = unit
     filled = 2
     while filled < count:
         h = min(filled, count - filled)
@@ -182,15 +181,15 @@ def _phase_ladder(
     return powers
 
 
-def _full_axis_phases(shift_axis: np.ndarray, n: int, scale: float) -> np.ndarray:
+def _full_axis_phases(unit: np.ndarray, n: int) -> np.ndarray:
     """Phase ladder over a full FFT axis, harmonics ``0 .. n/2 - 1`` then
     ``-n/2 .. -1`` (the negative ones as conjugates), shape ``(n, M)``.
     Built in place: the ladder fills rows ``0 .. n/2``, then rows above
     ``n/2`` take the conjugates of rows ``n/2 - 1 .. 1`` and row ``n/2``
     (harmonic ``-n/2``) its own conjugate."""
     h = n // 2
-    powers = np.empty((n, shift_axis.shape[0]), dtype=complex)
-    _phase_ladder(shift_axis, h + 1, scale, out=powers[: h + 1])
+    powers = np.empty((n, unit.shape[0]), dtype=complex)
+    _phase_ladder(unit, h + 1, out=powers[: h + 1])
     np.conj(powers[h - 1 : 0 : -1], out=powers[h + 1 :])
     np.conj(powers[h], out=powers[h])
     return powers
@@ -204,20 +203,27 @@ def _ladders(shifts: np.ndarray, ws: SpectralWorkspace) -> tuple[np.ndarray, np.
     ``b``, ``cols`` the fine one (``r < b``), so ``O(sqrt(n))`` ladder rows
     replace ``n/2 + 1`` and the doubling error grows with ``log2 b + log2 q``.
     In 2D and 3D ``cols`` is the half-spectrum ladder of the last axis and
-    ``rows`` the (Khatri-Rao) product of the full-axis ladders of the others."""
+    ``rows`` the (Khatri-Rao) product of the full-axis ladders of the others.
+    Every ladder starts from one unit phase per axis and realization, taken
+    with one ``cos`` and one ``sin`` pass (a complex ``exp`` costs about
+    twice as much)."""
     grid = ws.grid
     n, d = grid.n, grid.dim
-    scale = _TWO_PI / grid.length
+    phase = (_TWO_PI / grid.length) * shifts.T
+    units = np.empty(phase.shape, dtype=complex)  # [j, m] = exp(-i k_1 c_mj)
+    units.real = np.cos(phase)
+    units.imag = -np.sin(phase)
     if d == 1:
         n2 = n // 2
         b = 1 << (n2.bit_length() // 2)
-        return (_phase_ladder(shifts[:, 0], n2 // b + 1, b * scale),
-                _phase_ladder(shifts[:, 0], b, scale))
-    rows = _full_axis_phases(shifts[:, 0], n, scale)
+        cols = _phase_ladder(units[0], b)
+        # the coarse unit phase exp(-i b c) is the fine ladder's top row times its first
+        return _phase_ladder(cols[b - 1] * cols[1], n2 // b + 1), cols
+    rows = _full_axis_phases(units[0], n)
     for j in range(1, d - 1):
-        axis = _full_axis_phases(shifts[:, j], n, scale)
+        axis = _full_axis_phases(units[j], n)
         rows = (rows[:, None] * axis[None]).reshape(-1, shifts.shape[0])
-    return rows, _phase_ladder(shifts[:, -1], n // 2 + 1, scale)
+    return rows, _phase_ladder(units[-1], n // 2 + 1)
 
 
 def shift_phases(shifts: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:

@@ -534,3 +534,35 @@ class TestIntegrandReuse:
                 before = first.copy()
                 first += 1.0
                 assert np.array_equal(recover(), before)
+
+
+def _spread_case(dim, steps):
+    grid = PeriodicGrid(dim, 32, L)
+    x = grid.coordinates()
+    u0 = taylor_green_2d(grid).values if dim == 2 else np.sin(x) + 0.3 * np.cos(3 * x)
+    fe = noisy_flow(grid, 6, nu=0.05, dt=5e-3, drift=u0, steps=steps)
+    probes = np.array([[1.0, 2.0, 5.5], [3.0, 4.0, 0.2]])[:dim]
+    return grid, fe, u0, probes
+
+
+class TestProbeSpread:
+    @pytest.mark.parametrize("dim,steps", [(1, 1), (2, 1), (2, 2)])  # shared 1D, 2D, then one core each
+    def test_matches_per_realization_splines(self, dim, steps):
+        # realization m's spread is its own core-frame integrand at p - s_m
+        grid, fe, u0, probes = _spread_case(dim, steps)
+        assert fe.mode == ("shared" if steps == 1 else "general")
+        spread = probe_spread(fe, u0, probes, weber=dim == 2)
+        vals = slns.recovery._integrand(fe, u0, dim == 2)[0]
+        per_m = np.broadcast_to(vals, (fe.m,) + vals.shape[-dim - 1 :])
+        ref = np.stack(
+            [FieldInterpolator(grid, per_m[m]).at(probes - fe.shifts[m][:, None]) for m in range(fe.m)]
+        )
+        assert spread.shape == ref.shape == (fe.m, dim, probes.shape[1])
+        assert np.max(np.abs(spread - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_shared_realization_axis_is_contiguous(self, dim):
+        # the diagnostics' standard deviation over m reads contiguous memory
+        _, fe, u0, probes = _spread_case(dim, 1)
+        spread = probe_spread(fe, u0, probes, weber=dim == 2)
+        assert spread.strides[0] == spread.itemsize

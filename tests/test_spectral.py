@@ -238,6 +238,18 @@ class TestShiftMeanMultiplier:
         shift_mean_multiplier(shifts, ws)
         assert 0 < sum(rows) <= 2 * int(np.ceil(np.sqrt(129))) + 2
 
+    def test_1d_takes_one_trig_pass(self, monkeypatch):
+        # both 1D ladders start from one cos and one sin pass over the
+        # shifts: the coarse unit phase is a product of fine ladder rows
+        ws = workspace(PeriodicGrid(1, 256, 2 * np.pi))
+        shifts = np.random.default_rng(0).normal(0.0, 0.3, (64, 1))
+        calls = []
+        for name in ("cos", "sin"):
+            trig = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda x, *a, _t=trig, _n=name: calls.append(_n) or _t(x, *a))
+        shift_mean_multiplier(shifts, ws)
+        assert sorted(calls) == ["cos", "sin"]
+
     def test_2d_peak_allocation_is_the_ladders(self):
         # the (n, M) full-axis ladder is written in place, so one call holds
         # little beyond its two ladders; tracemalloc sees numpy's buffers
