@@ -19,7 +19,8 @@ fallback) only ever sees the periodic core, and ``A_m`` is never formed:
 recovery averages the translates by ``s_m`` of what it builds on ``B_m``
 in Fourier space, by the shifts' characteristic function for one shared
 core or :func:`~slns.spectral.shift_mean_coeffs` for one core per
-realization. :func:`translate_batch` only serves single realizations.
+realization. :func:`translate_batch` serves only the single realization
+of :func:`~slns.recovery.realization_field`.
 Immediately after a label reset all realizations share one core (``xi_m``
 identical for all ``m``); the ensemble stays in that cheap shared
 representation until a subsequent drift evaluation makes the cores diverge.

@@ -210,7 +210,7 @@ def _ladders(shifts: np.ndarray, ws: SpectralWorkspace) -> tuple[np.ndarray, np.
     grid = ws.grid
     n, d = grid.n, grid.dim
     phase = (_TWO_PI / grid.length) * shifts.T
-    units = np.empty(phase.shape, dtype=complex)  # [j, m] = exp(-i k_1 c_mj)
+    units = np.empty(phase.shape, dtype=complex)  # [j, m] = exp(-2 pi i c_mj / L)
     units.real = np.cos(phase)
     units.imag = -np.sin(phase)
     if d == 1:
