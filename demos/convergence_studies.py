@@ -5,7 +5,9 @@
   deterministic run and order-one weak behavior of a noisy one);
 * grid resolution (spectral differentiation: fast decay until the Monte
   Carlo floor);
-* ensemble size (probe standard error shrinking at the M^(-1/2) rate).
+* ensemble size (probe standard error shrinking at the M^(-1/2) rate), on
+  label windows: a step whose labels reset at its start averages the
+  Brownian shifts exactly and has no Monte Carlo error to shrink.
 
 Run:  python3 demos/convergence_studies.py
 """
@@ -70,15 +72,16 @@ def main():
     ensemble = SolverConfig(
         equation="navier_stokes",
         dim=2,
-        n=64,
+        n=32,
         nu=0.05,
         dt=5e-3,
-        t_end=0.05,
-        realizations=100,
+        t_end=0.02,
+        realizations=16,
+        reset_interval=4,
         seed=0,
     )
     show(
-        "probe standard error, ensemble size x4 per level",
+        "probe standard error of one 4-step label window, ensemble size x4 per level",
         convergence_study(ensemble, "realizations", 4),
     )
 

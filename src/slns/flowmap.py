@@ -17,9 +17,11 @@ so inversion (a fold check, a start from the quadratic Taylor model of
 ``xi`` at each node, then fixed-point iteration with a damped Newton
 fallback) only ever sees the periodic core, and ``A_m`` is never formed:
 recovery averages the translates by ``s_m`` of what it builds on ``B_m``
-in Fourier space, by the shifts' characteristic function for one shared
-core or :func:`~slns.spectral.shift_mean_coeffs` for one core per
-realization. :func:`translate_batch` serves only the single realization
+in Fourier space. For one shared core the shifts are i.i.d.
+``N(0, variance I)``, so that mean is the exact Gaussian multiplier
+``exp(-variance |k|^2 / 2)`` and no shift is read; for one core per
+realization it is :func:`~slns.spectral.shift_mean_coeffs` over the
+sampled shifts. :func:`translate_batch` serves only the single realization
 of :func:`~slns.recovery.realization_field`.
 Immediately after a label reset all realizations share one core (``xi_m``
 identical for all ``m``); the ensemble stays in that cheap shared
@@ -44,13 +46,7 @@ import numpy as np
 from .errors import NonInvertible
 from .grid import PeriodicGrid
 from .interp import FieldInterpolator
-from .spectral import (
-    SpectralWorkspace,
-    gradient_values,
-    shift_mean_multiplier,
-    shift_phases,
-    workspace,
-)
+from .spectral import SpectralWorkspace, gradient_values, shift_phases, workspace
 
 DEFAULT_TOL_FACTOR = 1e-8
 MAX_UPDATES = 25  # fixed-point and Newton updates of one inversion, together
@@ -234,25 +230,28 @@ class FlowEnsemble:
     per realization (``"general"``). Every operation handles both through
     that leading realization axis. ``shifts`` always has shape ``(M, d)``.
 
-    ``chi`` caches the empirical characteristic function of ``shifts``
-    (None until :meth:`shift_multiplier` first builds it); ensembles
-    advanced from one parent with the same noise have equal shifts and may
-    be handed one ``chi``. ``_integrands`` maps the ``weber`` flag to the
-    label array, the last recovery integrand ``J`` built from it on this
-    ensemble's inverse cores, and ``J``'s transform (see
-    ``recovery._integrand``). ``J``
-    is in the core frame: realization ``m``'s integrand is ``J`` (or
-    ``J[m]``) translated by ``shifts[m]``, and the ensemble stores no
-    translated map ``A_m``. It is ``(c,) + shape`` when map
-    and labels are shared, else ``(M, c) + shape``.
+    ``nu`` is the viscosity of the noise ``sqrt(2 nu) dW`` that
+    :meth:`advanced` is handed, and ``variance`` the per-axis variance
+    ``2 nu tau`` of every shift, tau the time since the last reset:
+    :meth:`advanced` adds ``2 nu dt`` with each noise increment and
+    :meth:`reset` returns it to 0. ``_integrands`` maps the ``weber`` flag
+    to the label array, the last recovery integrand ``J`` built from it on
+    this ensemble's inverse cores, and ``J``'s transform (see
+    ``recovery._integrand``). ``J`` is in the core frame: realization
+    ``m``'s integrand is ``J`` (or ``J[m]``) translated by ``shifts[m]``,
+    and the ensemble stores no translated map ``A_m``. It is ``(c,) +
+    shape`` when map and labels are shared, else ``(M, c) + shape``.
     ``_det_dev`` is ``max |det(grad X) - 1|``; like ``beta`` it is 0 at the
     identity, None on an ensemble not yet inverted, and set by
     :meth:`invert` from its fold checks.
     """
 
-    def __init__(self, grid: PeriodicGrid, realizations: int, tol: float | None = None):
+    def __init__(
+        self, grid: PeriodicGrid, realizations: int, tol: float | None = None, nu: float = 0.0
+    ):
         self.grid = grid
         self.m = realizations
+        self.nu = nu
         self.tol = DEFAULT_TOL_FACTOR * grid.length if tol is None else tol
         self.reset()
 
@@ -261,7 +260,6 @@ class FlowEnsemble:
     def _spawn(self) -> "FlowEnsemble":
         new = copy.copy(self)
         new.beta = None
-        new.chi = None
         new._integrands = {}
         new._det_dev = None
         return new
@@ -272,7 +270,7 @@ class FlowEnsemble:
         self.xi = np.zeros((d,) + self.grid.shape)
         self.shifts = np.zeros((self.m, d))
         self.beta = np.zeros((d,) + self.grid.shape)
-        self.chi = None
+        self.variance = 0.0
         self._integrands = {}
         self._det_dev = 0.0
 
@@ -306,7 +304,8 @@ class FlowEnsemble:
         ``xi_m += phi(X_m(a))``, one spline evaluation of ``phi`` at every
         core's shifted points (``phi`` itself at the identity core).
         ``noise`` is the pre-scaled uniform increment ``sqrt(2 nu) dW`` per
-        realization, or None for a noise-free advance. Returns a new
+        realization, of per-axis variance ``2 nu dt`` (added to
+        ``variance``), or None for a noise-free advance. Returns a new
         ensemble; ``self`` is unchanged (so a step can be re-advanced with
         a corrected drift).
         """
@@ -335,7 +334,9 @@ class FlowEnsemble:
             incr = FieldInterpolator(grid, phi).at(flat)
             incr = np.moveaxis(incr.reshape((d,) + lead + (-1,)), 0, -2)
             new.xi = xi + incr.reshape(lead + (d,) + grid.shape)
-        new.shifts = self.shifts if noise is None else self.shifts + noise
+        if noise is not None:
+            new.shifts = self.shifts + noise
+            new.variance = self.variance + 2.0 * self.nu * dt
         return new
 
     # -- inversion ----------------------------------------------------------
@@ -372,13 +373,6 @@ class FlowEnsemble:
         idx = np.arange(d)
         g[(..., idx, idx) + (slice(None),) * d] += 1.0
         return g
-
-    def shift_multiplier(self, ws: SpectralWorkspace) -> np.ndarray:
-        """Cached empirical characteristic function of this ensemble's
-        uniform shifts (the translate-averaging multiplier)."""
-        if self.chi is None:
-            self.chi = shift_mean_multiplier(self.shifts, ws)
-        return self.chi
 
     def _jacobian_cofactors(self) -> tuple[np.ndarray, list, np.ndarray]:
         """Forward-map Jacobian with its matrix axes first, and its

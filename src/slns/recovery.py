@@ -13,15 +13,17 @@ Because the noise is uniform in space, ``A_m(x) = B_m(x - s_m)`` with
 ``B_m`` the periodic inverse core, so every integrand is composed in the
 core frame (with ``B_m``, at the grid nodes) and realization ``m``'s
 integrand is that field translated by the shift ``s_m``. In the shared
-representation (one core for all realizations) the formula is evaluated
-once and the ensemble average becomes a single spectral multiplier, the
-empirical characteristic function of the shifts. In the general
-representation (one core per realization) the average is one phase sum
-``mean_m fft(J_m) exp(-i k . s_m)``. Either way the projection is applied
-once, to the averaged coefficients, before one inverse transform. One
-routine, :func:`_integrand`, builds the integrand and its transform and
-keeps both on the flow, so the per-realization diagnostics read them
-instead of rebuilding them.
+representation (one core and shared labels for all realizations) the
+formula is evaluated once, and since the shifts are i.i.d. ``N(0, 2 nu
+tau I)`` the expectation over them is known in closed form: the one
+integrand's coefficients times ``exp(-nu |k|^2 tau)``. That step has no
+Monte Carlo error and reads no shift. In the general representation (one
+core per realization, or per-realization labels) the average is the
+Monte Carlo phase sum ``mean_m fft(J_m) exp(-i k . s_m)``. Either way the
+projection is applied once, to the averaged coefficients, before one
+inverse transform. One routine, :func:`_integrand`, builds the integrand
+and its transform and keeps both on the flow, so the per-realization
+diagnostics read them instead of rebuilding them.
 """
 
 from __future__ import annotations
@@ -89,20 +91,28 @@ def _integrand(
     return flow._integrands[weber][1:]
 
 
+def exact_mean(flow: FlowEnsemble, label_values: np.ndarray) -> bool:
+    """Whether recovery on ``flow`` averages its shifts exactly: one core
+    and shared labels, so the realizations differ only by their shifts."""
+    return flow.mode == "shared" and label_values.ndim == flow.grid.dim + 1
+
+
 def _recover(
     flow: FlowEnsemble, label_values: np.ndarray, weber: bool, project: bool
 ) -> np.ndarray:
     """Ensemble-mean recovery; the workhorse behind every public formula.
 
     The mean of the translated integrands is formed once in Fourier space,
-    and the projection is applied to that one mean.
+    and the projection is applied to that one mean: the sampled phase sum
+    over per-realization integrands, or the exact Gaussian multiplier
+    ``exp(-variance |k|^2 / 2)`` on the one shared integrand.
     """
     ws = workspace(flow.grid)
-    vals, vals_hat = _integrand(flow, label_values, weber)
-    if vals.ndim == flow.grid.dim + 2:
-        coeffs = shift_mean_coeffs(vals_hat, flow.shifts, ws)
+    vals_hat = _integrand(flow, label_values, weber)[1]
+    if exact_mean(flow, label_values):
+        coeffs = vals_hat * np.exp(-0.5 * flow.variance * ws.k2_full)
     else:
-        coeffs = vals_hat * flow.shift_multiplier(ws)
+        coeffs = shift_mean_coeffs(vals_hat, flow.shifts, ws)
     if project:
         project_coeffs(coeffs, ws)
     return ws.ifft(coeffs)
@@ -129,18 +139,15 @@ def probe_spread(
     omitted (the unprojected integrand carries the same sampling spread).
     The integrand that the last recovery on ``flow`` built from this same
     label array is reused, and its splines are built from its transform.
+    One core with shared labels is averaged exactly and has no spread to
+    sample: a ValueError.
     """
-    grid = flow.grid
+    if exact_mean(flow, label_values):
+        raise ValueError("one core with shared labels has an exact mean and no probe spread")
     vals, vals_hat = _integrand(flow, label_values, weber)
     # realization m sees its core-frame integrand at (p - s_m)
-    if vals.ndim == grid.dim + 1:
-        # realization-last points, so the result's realization axis is the
-        # contiguous one that the diagnostics reduce along
-        pts = probes[:, :, None] - flow.shifts.T[:, None, :]  # (d, P, M)
-        spline = FieldInterpolator(grid, vals, spectrum=vals_hat)
-        return np.moveaxis(spline.at(pts), -1, 0)
     pts = probes[None] - flow.shifts[:, :, None]  # (M, d, P)
-    return interpolate_batch(grid, vals, pts, spectra=vals_hat)
+    return interpolate_batch(flow.grid, vals, pts, spectra=vals_hat)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,12 @@ rule (one-stage Euler-Maruyama for ``direct_sde``, the two-stage rule for
 ``translated_flow``) with the drift ``u^0``, then a corrector by the
 two-stage rule with the drift ``(u^0 + u_new) / 2``.
 
-Viscosity only ever enters through the noise amplitude; no diffusion
-operator is applied to any field.
+Viscosity enters through the noise ``sqrt(2 nu) dW`` alone; no diffusion
+operator is applied to the velocity. Where every realization has the one
+core and shared labels, the noise's whole effect on the recovered mean is
+known in closed form, the heat multiplier ``exp(-nu |k|^2 tau)`` on the
+core-frame integrand (tau the time since the last reset), so such a step
+has no Monte Carlo error and reports a ``probe_se`` of 0.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .grid import Field, PeriodicGrid
 from .recovery import (
     burgers_velocity,
     circulation,
+    exact_mean,
     forcing_increment,
     probe_spread,
     realization_field,
@@ -374,7 +379,7 @@ class StochasticSolver:
 
         self.ensemble = WienerEnsemble(config.realizations, config.dim, config.seed, config.substeps)
         self.flow = FlowEnsemble(self.grid, config.realizations,
-                                 tol=config.inversion_tol_factor * config.length)
+                                 tol=config.inversion_tol_factor * config.length, nu=config.nu)
 
         # Label data: the transported quantity on the current window.
         # For the alpha model the labels carry the momentum v and the drift
@@ -482,15 +487,10 @@ class StochasticSolver:
             passes, drift, stages = 2, self.u_values, self._stages
         else:
             passes, drift, stages = 1, 1.5 * self.u_values - 0.5 * self._u_prev, 2
-        chi = None
         for _ in range(passes):
             trial = self.flow.advanced(drift, cfg.dt, noise, stages=stages)
-            # the passes add the same noise to the same shifts, so the
-            # characteristic function built by the first serves all
-            trial.chi = chi
             trial.invert()
             v_new = self._recover(trial, label_u)
-            chi = trial.chi
             u_new = self._drift_from_momentum(v_new)
             self._max_speed(u_new)
             # Correction passes integrate the time-averaged drift along the
@@ -546,13 +546,12 @@ class StochasticSolver:
         if self.curve is not None:
             defect = self._circulation_diagnostics(label_u)
 
-        if cfg.realizations > 1:
+        se = 0.0  # an exact mean has no spread to sample
+        if cfg.realizations > 1 and not exact_mean(self.flow, label_u):
             spread = probe_spread(
                 self.flow, label_u, self.probes, weber=cfg.equation != "burgers"
             )
             se = float(np.max(spread.std(axis=0, ddof=1))) / np.sqrt(cfg.realizations)
-        else:
-            se = 0.0
         # a step's SE covers every shift since its window's reset, so only
         # a window's last step adds to the closed windows' sum
         accum = float(np.sqrt(self._se_closed_sq + se * se))
@@ -746,7 +745,9 @@ def convergence_study(
     oracle at the finest ``n`` (``reference="oracle"``), and the order
     ``p`` of ``error ~ h^p``. The realization axis reports the accumulated
     probe standard error and its slope against M, which should sit near
-    -1/2. Needs at least 3 levels.
+    -1/2; it needs label windows (``reset_interval >= 2``) and ``nu > 0``,
+    since a run that resets its labels every step, or has no noise, has no
+    Monte Carlo error. Needs at least 3 levels.
     """
     finest = 2 ** (levels - 1)
     refine = {
@@ -760,6 +761,9 @@ def convergence_study(
         raise ConfigError(f"reference must be 'self' or 'oracle', got {reference!r}")
     if axis not in refine:
         raise ConfigError("axis must be 'dt', 'n' or 'realizations'")
+    if axis == "realizations" and (config.reset_interval == 1 or config.nu == 0.0):
+        raise ConfigError("the realizations axis needs Monte Carlo error: runs with "
+                          "reset_interval = 1 or nu = 0 average the noise exactly")
     cfgs = [replace(config, output_dir=None, **refine[axis](i)) for i in range(levels)]
     factor = 4 if axis == "realizations" else 2
     # dt and n levels are measured against one field, the ensemble axis by

@@ -8,8 +8,9 @@ with leading axes are supported by every raw-array helper.
 
 Translating a field by a uniform shift ``c`` multiplies its coefficients by
 ``exp(-i k . c)``. One builder, :func:`_ladders`, makes those phases from
-per-axis doubling ladders for every ensemble operation: the characteristic
-function, the per-realization phases and the window mean built on them.
+per-axis doubling ladders for every sampled ensemble operation: the
+per-realization phases, the window mean built on them and the empirical
+characteristic function.
 """
 
 from __future__ import annotations
@@ -246,7 +247,9 @@ def shift_mean_multiplier(shifts: np.ndarray, ws: SpectralWorkspace) -> np.ndarr
     """Empirical characteristic function ``mean_m exp(-i k . c_m)``, the
     :func:`_ladders` contracted over the realizations as ``rows @ cols.T / M``;
     multiplying a field's coefficients by it averages the field's
-    translates over the ensemble of uniform shifts ``c_m``."""
+    translates over the ensemble of uniform shifts ``c_m``. The solver does
+    not sample it: for i.i.d. Gaussian shifts its expectation is known
+    exactly (see ``recovery._recover``), and tests check that against it."""
     rows, cols = _ladders(shifts, ws)
     chi = rows @ cols.T / shifts.shape[0]
     return chi.ravel()[: np.prod(ws.spectral_shape)].reshape(ws.spectral_shape)

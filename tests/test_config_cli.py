@@ -494,12 +494,23 @@ radius = 1.0
         code = main(
             ["convergence", str(p), "--axis", "realizations", "--levels", "3",
              "--set", "run.t_end=0.02", "--set", "run.realizations=16",
-             "--out", str(out_csv)]
+             "--set", "run.reset_interval=2", "--out", str(out_csv)]
         )
         assert code == 0
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "level,value,error,order"
         assert len(lines) == 4
+
+    def test_convergence_realizations_of_shared_steps_exit_1(self, tmp_path, capsys):
+        # labels that reset every step are averaged exactly: there is no
+        # Monte Carlo error for the realizations axis to measure
+        p = write_cfg(tmp_path, BURGERS_CFG)
+        out_csv = tmp_path / "conv.csv"
+        code = main(["convergence", str(p), "--axis", "realizations", "--levels", "3",
+                     "--out", str(out_csv)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out_csv.exists()
 
     def test_info(self, capsys, tmp_path):
         assert main(["info"]) == 0

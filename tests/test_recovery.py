@@ -32,7 +32,9 @@ from slns.spectral import (
     divergence_values,
     gradient_values,
     helmholtz_values,
+    project_coeffs,
     project_values,
+    shift_mean_multiplier,
     workspace,
 )
 from slns.wiener import WienerEnsemble
@@ -43,7 +45,7 @@ L = 2 * np.pi
 def noisy_flow(grid, m, nu, dt, seed=0, drift=None, steps=1):
     """Advance an ensemble a few steps with frozen drift (no reset)."""
     w = WienerEnsemble(m, grid.dim, seed)
-    fe = FlowEnsemble(grid, m)
+    fe = FlowEnsemble(grid, m, nu=nu)
     zero = np.zeros((grid.dim,) + grid.shape)
     for j in range(steps):
         noise = np.sqrt(2 * nu) * w.increments(j, dt) if nu > 0 else None
@@ -61,11 +63,11 @@ class TestWeberVelocity:
         assert np.max(np.abs(out - u0.values)) <= 1e-12
 
     def test_uniform_translation_shifts_initial(self, grid2d):
-        # u == 0 drift: A = x - c, grad A = I, so u(x) = u0(x - c)
+        # u == 0 drift: A = x - c, grad A = I, so the realization's u~(x) = u0(x - c)
         u0 = taylor_green_2d(grid2d)
         fe = noisy_flow(grid2d, 1, nu=0.1, dt=0.01, seed=5)
         c = fe.shifts[0]
-        out = weber_velocity(fe, u0)
+        out = stochastic_velocity(fe, u0.values, 0)
         x, y = grid2d.coordinates()
         exact = np.stack(
             [np.cos(x - c[0]) * np.sin(y - c[1]), -np.sin(x - c[0]) * np.cos(y - c[1])]
@@ -367,27 +369,42 @@ class TestCirculation:
         assert fit_order([32, 64, 128], defects) >= 1.0
 
 
+def per_realization_copy(shared):
+    """``shared`` with its one core copied to every realization."""
+    general = copy.copy(shared)
+    general.xi = np.broadcast_to(shared.xi, (shared.m,) + shared.xi.shape).copy()
+    general.beta = np.broadcast_to(shared.beta, (shared.m,) + shared.beta.shape).copy()
+    general._integrands = {}
+    return general
+
+
+def vorticity_case(grid, u0):
+    """The vorticity formula of ``grid``'s dimension and its label."""
+    w0 = curl_values(u0, workspace(grid))
+    return (transported_vorticity_2d, w0[None]) if grid.dim == 2 else (transported_vorticity_3d, w0)
+
+
 class TestRepresentationsAgree:
-    """The shared path (one core times the characteristic function of the
-    shifts) and the per-realization path (a mean over M maps) evaluate the
-    same formulas. Zero and whole-cell shifts keep every translate on the
-    grid, so the two paths differ only by rounding; arbitrary shifts would
-    add the interpolation error of the per-realization path."""
+    """The shared path (one core, averaged by the exact Gaussian multiplier)
+    and the per-realization path (a phase sum over M maps) evaluate the
+    same formulas. At nu = 0 every shift is zero and the multiplier is 1,
+    so both paths are exact and differ only by rounding. With noise the
+    per-realization path is a Monte Carlo estimate of the shared path's
+    exact mean (see TestExactShiftMean). Whole-cell shifts keep every
+    translate on the grid, for the flow operations."""
 
     @staticmethod
     def pair(grid, shift_kind):
         m = 6
         u0 = random_band_limited(grid, kmax=3, seed=4, components=grid.dim)
-        shared = noisy_flow(grid, m, nu=0.05, dt=2e-2, seed=8, drift=u0.values)
+        nu = 0.05 if shift_kind == "cells" else 0.0
+        shared = noisy_flow(grid, m, nu=nu, dt=2e-2, seed=8, drift=u0.values)
         assert shared.mode == "shared"
-        cells = np.random.default_rng(1).integers(-grid.n, grid.n, (m, grid.dim))
-        shared.shifts = cells * grid.spacing if shift_kind == "cells" else 0.0 * cells
-        general = copy.copy(shared)
-        general.xi = np.broadcast_to(shared.xi, (m,) + shared.xi.shape).copy()
-        general.beta = np.broadcast_to(shared.beta, (m,) + shared.beta.shape).copy()
-        general.chi = None
-        general._integrands = {}
-        return u0.values, shared, general
+        if shift_kind == "cells":
+            cells = np.random.default_rng(1).integers(-grid.n, grid.n, (m, grid.dim))
+            shared.shifts = cells * grid.spacing
+        assert shift_kind == "cells" or not (shared.shifts.any() or shared.variance)
+        return u0.values, shared, per_realization_copy(shared)
 
     @staticmethod
     def assert_close(a, b):
@@ -395,23 +412,21 @@ class TestRepresentationsAgree:
         assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
 
     @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
-    @pytest.mark.parametrize("shift_kind", ["zero", "cells"])
+    @pytest.mark.parametrize("shift_kind", ["zero"])
     def test_formulas_agree(self, dim, n, shift_kind):
         grid = PeriodicGrid(dim, n, L)
         u0, shared, general = self.pair(grid, shift_kind)
-        w0 = curl_values(u0, workspace(grid))
         probes = np.tile(np.array([0.7, 2.9, 5.1]), (dim, 1))
         self.assert_close(burgers_velocity(shared, u0), burgers_velocity(general, u0))
         self.assert_close(weber_velocity(shared, u0), weber_velocity(general, u0))
+        # every copy of the core reads the shared integrand at the probes
+        at = FieldInterpolator(grid, slns.recovery._integrand(shared, u0, True)[0]).at(probes)
         self.assert_close(
-            probe_spread(shared, u0, probes, weber=True),
+            np.broadcast_to(at, (shared.m,) + at.shape),
             probe_spread(general, u0, probes, weber=True),
         )
-        if dim == 2:
-            a, b = transported_vorticity_2d(shared, w0[None]), transported_vorticity_2d(general, w0[None])
-        else:
-            a, b = transported_vorticity_3d(shared, w0), transported_vorticity_3d(general, w0)
-        self.assert_close(a, b)
+        recover, w0 = vorticity_case(grid, u0)
+        self.assert_close(recover(shared, w0), recover(general, w0))
 
     @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
     def test_flow_operations_agree(self, dim, n):
@@ -438,6 +453,49 @@ class TestRepresentationsAgree:
         b = general.advanced(u0, 0.01, None, stages=2)
         assert a.mode == "shared"
         self.assert_close(a.xi_general(), b.xi)
+
+
+class TestExactShiftMean:
+    """One core with shared labels is averaged over its shifts ``s ~ N(0,
+    variance I)`` by the exact multiplier ``exp(-variance |k|^2 / 2)``. Two
+    sampled paths estimate the same mean, the empirical characteristic
+    function of M shifts and the per-realization phase sum over M copies
+    of the core; each must lie within 3 standard errors of it. A sample's
+    ``exp(-i k . s)`` deviates from the exact value by
+    ``1 - exp(-variance |k|^2)`` in mean square."""
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+    def test_characteristic_function_matches_the_gaussian(self, dim, n):
+        ws = workspace(PeriodicGrid(dim, n, L))
+        m, variance = 4096, 0.02
+        shifts = np.sqrt(variance) * np.random.default_rng(0).standard_normal((m, dim))
+        exact = np.exp(-0.5 * variance * ws.k2_full)
+        se = np.sqrt((1.0 - exact**2) / m)
+        assert np.all(np.abs(shift_mean_multiplier(shifts, ws) - exact) <= 3.0 * se)
+
+    @pytest.mark.parametrize("dim,n,m", [(2, 32, 1024), (3, 16, 256)])
+    def test_per_realization_mean_matches_the_exact_mean(self, dim, n, m):
+        grid = PeriodicGrid(dim, n, L)
+        ws = workspace(grid)
+        u0 = random_band_limited(grid, kmax=3, seed=4, components=dim).values
+        nu, dt = 0.5, 2e-2
+        shared = noisy_flow(grid, m, nu=nu, dt=dt, seed=8, drift=u0)
+        assert shared.mode == "shared" and shared.variance == 2 * nu * dt
+        general = per_realization_copy(shared)
+        exact = np.exp(-0.5 * shared.variance * ws.k2_full)
+        # Parseval over the half spectrum: modes off k_last = 0 and n/2 count twice
+        k_last = np.fft.rfftfreq(n) * n
+        weight = np.where((k_last == 0) | (k_last == n // 2), 1.0, 2.0) * (1.0 - exact**2)
+        recover_w, w0 = vorticity_case(grid, u0)
+        cases = [(burgers_velocity, u0, False, False), (weber_velocity, u0, True, True),
+                 (recover_w, w0, False, False)]
+        for recover, label, weber, project in cases:
+            coeffs = slns.recovery._integrand(shared, label, weber)[1].copy()
+            if project:
+                project_coeffs(coeffs, ws)
+            se = np.sqrt(np.sum(weight * np.abs(coeffs) ** 2) / (m * grid.num_points))
+            err = np.sqrt(np.sum((recover(general, label) - recover(shared, label)) ** 2))
+            assert 0.0 < err <= 3.0 * se, (recover.__name__, err, se)
 
 
 class TestAveragingPaths:
@@ -491,29 +549,34 @@ class TestIntegrandReuse:
     @pytest.mark.parametrize("steps", [1, 2])  # shared core, then one map per realization
     def test_probe_splines_reuse_the_recovery_transform(self, grid2d, monkeypatch, steps):
         # the probe splines are built from the integrand's transform that the
-        # recovery took, bit for bit the splines built from scratch
+        # recovery took, bit for bit the splines built from scratch; on the
+        # shared core the labels are per realization (as forcing makes them),
+        # since shared labels there have an exact mean and no spread
         u0 = taylor_green_2d(grid2d)
         fe = noisy_flow(grid2d, 4, nu=0.05, dt=5e-3, drift=u0.values, steps=steps)
-        weber_velocity(fe, u0.values)
+        labels = u0.values if steps == 2 else np.stack([(1 + 0.1 * m) * u0.values for m in range(4)])
+        weber_velocity(fe, labels)
         probes = np.array([[1.0, 2.0], [3.0, 4.0]])
-        vals = slns.recovery._integrand(fe, u0.values, weber=True)[0]
+        vals = slns.recovery._integrand(fe, labels, weber=True)[0]
         pts = probes[None] - fe.shifts[:, :, None]
         per_m = np.broadcast_to(vals, (4,) + vals.shape[-3:])
         scratch = np.stack([FieldInterpolator(grid2d, v).at(p) for v, p in zip(per_m, pts)])
         transforms = []
         real_fft = SpectralWorkspace.fft
         monkeypatch.setattr(SpectralWorkspace, "fft", lambda ws, v: transforms.append(1) or real_fft(ws, v))
-        spread = probe_spread(fe, u0.values, probes, weber=True)
+        spread = probe_spread(fe, labels, probes, weber=True)
         assert not transforms
         assert np.array_equal(spread, scratch)
 
     @pytest.mark.parametrize("steps", [1, 2])  # shared core, then one map per realization
     def test_zero_shifts_average_the_core_frame_integrand(self, grid2d, steps):
-        # with every shift zero the characteristic function is exactly 1, so
-        # the recovery is the plain mean of the core-frame integrands
+        # with every shift and the variance zero the shared multiplier and
+        # every phase are exactly 1, so the recovery is the plain mean of
+        # the core-frame integrands
         u0 = taylor_green_2d(grid2d)
         fe = noisy_flow(grid2d, 3, nu=0.05, dt=5e-3, drift=u0.values, steps=steps)
         fe.shifts = np.zeros_like(fe.shifts)
+        fe.variance = 0.0
         ws = workspace(grid2d)
         for recover, weber in ((burgers_velocity, False), (weber_velocity, True)):
             plain = slns.recovery._integrand(fe, u0.values, weber)[0]
@@ -537,22 +600,27 @@ class TestIntegrandReuse:
 
 
 def _spread_case(dim, steps):
+    """A flow with a spread to sample: one core per realization after two
+    steps, and after one step the shared core with per-realization labels
+    (as forcing makes them); with shared labels it has no spread."""
     grid = PeriodicGrid(dim, 32, L)
     x = grid.coordinates()
     u0 = taylor_green_2d(grid).values if dim == 2 else np.sin(x) + 0.3 * np.cos(3 * x)
     fe = noisy_flow(grid, 6, nu=0.05, dt=5e-3, drift=u0, steps=steps)
+    labels = u0 if steps == 2 else np.stack([(1 + 0.1 * m) * u0 for m in range(fe.m)])
     probes = np.array([[1.0, 2.0, 5.5], [3.0, 4.0, 0.2]])[:dim]
-    return grid, fe, u0, probes
+    return grid, fe, labels, probes
 
 
 class TestProbeSpread:
-    @pytest.mark.parametrize("dim,steps", [(1, 1), (2, 1), (2, 2)])  # shared 1D, 2D, then one core each
+    # the shared core with per-realization labels in 1D and 2D, then one core each
+    @pytest.mark.parametrize("dim,steps", [(1, 1), (2, 1), (2, 2)])
     def test_matches_per_realization_splines(self, dim, steps):
         # realization m's spread is its own core-frame integrand at p - s_m
-        grid, fe, u0, probes = _spread_case(dim, steps)
+        grid, fe, labels, probes = _spread_case(dim, steps)
         assert fe.mode == ("shared" if steps == 1 else "general")
-        spread = probe_spread(fe, u0, probes, weber=dim == 2)
-        vals = slns.recovery._integrand(fe, u0, dim == 2)[0]
+        spread = probe_spread(fe, labels, probes, weber=dim == 2)
+        vals = slns.recovery._integrand(fe, labels, dim == 2)[0]
         per_m = np.broadcast_to(vals, (fe.m,) + vals.shape[-dim - 1 :])
         ref = np.stack(
             [FieldInterpolator(grid, per_m[m]).at(probes - fe.shifts[m][:, None]) for m in range(fe.m)]
@@ -561,8 +629,8 @@ class TestProbeSpread:
         assert np.max(np.abs(spread - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_shared_realization_axis_is_contiguous(self, dim):
-        # the diagnostics' standard deviation over m reads contiguous memory
-        _, fe, u0, probes = _spread_case(dim, 1)
-        spread = probe_spread(fe, u0, probes, weber=dim == 2)
-        assert spread.strides[0] == spread.itemsize
+    def test_shared_labels_on_the_shared_core_have_no_spread(self, dim):
+        # their mean is exact, so there is no Monte Carlo spread to sample
+        _, fe, labels, probes = _spread_case(dim, 1)
+        with pytest.raises(ValueError, match="exact mean"):
+            probe_spread(fe, labels[0], probes, weber=dim == 2)

@@ -170,9 +170,41 @@ class TestTrivialRuns:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_different_seed_differs(self):
-        r1 = run(tg_config(t_end=0.02, seed=1))
-        r2 = run(tg_config(t_end=0.02, seed=2))
+        # label windows sample the Brownian shifts; a shared step does not
+        r1 = run(tg_config(t_end=0.02, seed=1, reset_interval=2))
+        r2 = run(tg_config(t_end=0.02, seed=2, reset_interval=2))
         assert not np.array_equal(r1.velocity.values, r2.velocity.values)
+
+
+class TestExactSharedMean:
+    """Labels that reset every step keep every realization on one core, and
+    recovery averages its Gaussian shifts by the exact multiplier, so the
+    velocity carries no Monte Carlo error."""
+
+    @pytest.mark.parametrize("make", [tg_config, burgers_config])
+    def test_velocity_independent_of_seed_and_ensemble_size(self, make):
+        runs = [run(make(t_end=0.02, seed=seed, realizations=m))
+                for seed, m in ((1, 16), (2, 16), (1, 64))]
+        for res in runs[1:]:
+            assert np.array_equal(res.velocity.values, runs[0].velocity.values)
+        assert not any(res.diagnostics.column("probe_se_accum").any() for res in runs)
+
+    @staticmethod
+    def taylor_green_error() -> float:
+        cfg = tg_config(t_end=0.2)
+        return relative_l2_error(run(cfg).velocity, oracle_solution(cfg, cfg.t_end))
+
+    def test_taylor_green_within_1e_6_of_the_analytic_decay(self):
+        assert self.taylor_green_error() <= 1e-6
+
+    def test_taylor_green_gate_fails_with_a_biased_drift(self, monkeypatch):
+        # the velocity each step hands on as the next drift, 1e-5 too large;
+        # scaling only the maps' drift would not show, since every
+        # nonlinear term of the cellular field is a gradient
+        real = StochasticSolver._drift_from_momentum
+        monkeypatch.setattr(StochasticSolver, "_drift_from_momentum",
+                            lambda self, v: (1 + 1e-5) * real(self, v))
+        assert self.taylor_green_error() > 1e-6
 
 
 class TestSteadyEuler:
@@ -283,15 +315,17 @@ class TestPicardPasses:
     """The first step runs a predictor and a corrector pass; every later
     step one, along the drift extrapolated to the half step."""
 
-    def test_characteristic_function_built_once_per_step(self, monkeypatch):
-        calls = _count_calls(monkeypatch, slns.flowmap, "shift_mean_multiplier")
+    def test_shared_steps_build_no_shift_phases(self, monkeypatch):
+        # the exact multiplier averages one core's shifts: no pass builds a
+        # phase ladder (characteristic function or phase sum) and no step
+        # samples a probe spread
+        ladders = _count_calls(monkeypatch, slns.spectral, "_ladders")
+        spreads = _count_calls(monkeypatch, slns.solver, "probe_spread")
         solver = StochasticSolver(burgers_config(reset_interval=1))
-        per_step = []
         for _ in range(3):
-            before = len(calls)
             solver.step()
-            per_step.append(len(calls) - before)
-        assert per_step == [1, 1, 1]
+        assert ladders == [] and spreads == []
+        assert not solver.diagnostics.column("probe_se").any()
 
     def test_zero_tolerance_runs_every_pass(self, monkeypatch):
         seen = []  # the stage count of every advance
@@ -309,22 +343,20 @@ class TestPicardPasses:
         assert seen[2:] == [2]
 
     def test_only_the_last_pass_inverts_the_window_cores(self, monkeypatch):
-        # the first step inverts the one shared core once per Picard pass,
-        # and its passes share one chi; every later step runs one pass,
-        # which inverts the window's M cores (their mean needs no chi), or
-        # the shared core once when labels reset every step
+        # the first step inverts the one shared core once per Picard pass;
+        # every later step runs one pass, which inverts the window's M
+        # cores, or the shared core once when labels reset every step
         cores = _count_calls(monkeypatch, slns.flowmap, "invert_core")
-        chis = _count_calls(monkeypatch, slns.flowmap, "shift_mean_multiplier")
         per_step = {}
         for reset_interval in (4, 1):
             solver = StochasticSolver(tg_config(n=32, realizations=8, reset_interval=reset_interval))
             per_step[reset_interval] = []
             for _ in range(4):
-                before = len(cores), len(chis)
+                before = len(cores)
                 solver.step()
-                per_step[reset_interval].append((len(cores) - before[0], len(chis) - before[1]))
-        assert per_step[4] == [(2, 1)] + [(8, 0)] * 3
-        assert per_step[1] == [(2, 1)] + [(1, 1)] * 3
+                per_step[reset_interval].append(len(cores) - before)
+        assert per_step[4] == [2] + [8] * 3
+        assert per_step[1] == [2] + [1] * 3
 
     # the alpha model extrapolates the filtered velocity u, not the momentum
     @pytest.mark.parametrize("kw", [{}, dict(equation="lans_alpha", alpha=0.5)],
@@ -406,12 +438,12 @@ class TestWorkPerStep:
 
     def test_second_shared_step_composes_its_labels_once(self, monkeypatch):
         # one pass: the two-stage rule's drift spline, the core's inversion,
-        # the labels (the ones the first step's reset set), then vorticity
-        # and the probes (3 points per realization)
+        # the labels (the ones the first step's reset set), then vorticity;
+        # the exact mean has no probe spread to sample
         solver = StochasticSolver(tg_config())
         solver.step()
         n = 64 * 64
-        assert _points_per_pass(monkeypatch, solver) == [[n, n, n, n, 3 * 64]]
+        assert _points_per_pass(monkeypatch, solver) == [[n, n, n, n]]
 
 
 def _points_per_pass(monkeypatch, solver):
@@ -437,20 +469,20 @@ def _points_per_pass(monkeypatch, solver):
 
 class TestEulerPredictorLabels:
     """The first step's predictor pass (one-stage for ``direct_sde``)
-    composes its labels like every other pass."""
+    composes its labels like every other pass; a shared step samples no
+    probe spread."""
 
     N = 64 * 64
-    PROBES = 3 * 64  # the default probes, once per realization
 
     @pytest.mark.parametrize(
         "kw, first_pass, last_pass",
         [
             # the drift is the filtered momentum, not the labels
-            (dict(equation="lans_alpha", alpha=0.5), [N, N], [N, N, N, N, PROBES]),
+            (dict(equation="lans_alpha", alpha=0.5), [N, N], [N, N, N, N]),
             # the labels carry dt f; forced runs track no vorticity labels
-            (dict(forcing="steady_taylor_green"), [N, N], [N, N, N, PROBES]),
+            (dict(forcing="steady_taylor_green"), [N, N], [N, N, N]),
             # the first pass is a two-stage step
-            (dict(backend="translated_flow"), [N, N, N], [N, N, N, N, PROBES]),
+            (dict(backend="translated_flow"), [N, N, N], [N, N, N, N]),
         ],
     )
     def test_other_predictors_compose_their_labels(self, monkeypatch, kw, first_pass, last_pass):
@@ -497,19 +529,21 @@ class TestLansAlpha:
 
 class TestProbeSE:
     def test_se_shrinks_at_half_order_in_m(self):
+        # label windows: a shared step has no Monte Carlo error to measure
         rows = convergence_study(
-            tg_config(t_end=0.02, realizations=100), "realizations", 4
+            tg_config(n=32, t_end=0.01, realizations=16, reset_interval=2), "realizations", 4
         )
         ses = [r["error"] for r in rows]
         ms = [r["value"] for r in rows]
         slope = np.polyfit(np.log(ms), np.log(ses), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.15)
 
-    @pytest.mark.parametrize("reset_interval", [10, 1])
+    @pytest.mark.parametrize("reset_interval", [10, 2, 1])
     def test_accumulated_se_matches_seed_to_seed_spread(self, reset_interval):
-        # 24 seeds of 10 steps, one label window or ten; a step's SE already
-        # covers every shift since its window's reset, so a sum over every
-        # step of a window reads about 2.3x the spread
+        # 24 seeds of 10 steps: one label window, five, or ten shared steps;
+        # a step's SE already covers every shift since its window's reset,
+        # so a sum over every step of a window reads about 2.3x the spread.
+        # Shared steps average exactly: no spread and no SE.
         finals, accum = [], []
         for seed in range(24):
             solver = StochasticSolver(tg_config(n=32, realizations=16, seed=seed,
@@ -519,8 +553,11 @@ class TestProbeSE:
             spline = FieldInterpolator(solver.grid, solver.u_values)
             finals.append(spline.at(solver.probes))
             accum.append(solver.diagnostics.column("probe_se_accum")[-1])
-        spread = np.max(np.std(finals, axis=0, ddof=1))
-        assert 0.75 <= np.mean(accum) / spread <= 1.33
+        if reset_interval == 1:
+            assert np.ptp(finals, axis=0).max() == 0.0 and not np.any(accum)
+        else:
+            spread = np.max(np.std(finals, axis=0, ddof=1))
+            assert 0.75 <= np.mean(accum) / spread <= 1.33
 
 
 class TestConvergenceStudies:
@@ -539,9 +576,20 @@ class TestConvergenceStudies:
     def test_realization_axis_from_one_realization(self):
         # one realization has no spread: the first slope is infinite, not
         # a division error
-        cfg = burgers_config(n=32, t_end=0.01, realizations=1)
+        cfg = burgers_config(n=32, t_end=0.01, realizations=1, reset_interval=2)
         rows = convergence_study(cfg, "realizations", 3)
         assert rows[0]["error"] == 0.0 and rows[1]["order"] == np.inf
+
+    @pytest.mark.parametrize("kw", [dict(reset_interval=1), dict(nu=0.0, reset_interval=2)])
+    def test_realization_axis_needs_monte_carlo_error(self, monkeypatch, kw):
+        # shared steps and noise-free runs have no Monte Carlo error: the
+        # study is refused before any level runs
+        def boom(cfg):
+            raise AssertionError("a level ran before the axis was checked")
+
+        monkeypatch.setattr(slns.solver, "run", boom)
+        with pytest.raises(ConfigError, match="Monte Carlo"):
+            convergence_study(burgers_config(**kw), "realizations", 3)
 
     def test_euler_dt_order_two(self):
         # a non-steady inviscid flow shows the Heun-corrected scheme's

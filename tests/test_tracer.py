@@ -74,6 +74,6 @@ def test_install_trace_uninstall(tracer_module):
     assert counts["flowmap.invert_interp_points"] >= counts["flowmap.invert_core_calls"] * 16**2
     assert counts["interp.at_points"] > counts["flowmap.invert_interp_points"]
     assert counts["interp.prefilter_calls"] >= 1
-    # a shared step builds one characteristic function for all its Picard passes
-    assert tracer.counts[1]["spectral.chi_calls"] == 1
+    # a shared step averages by the exact multiplier: no characteristic function
+    assert tracer.counts[1]["spectral.chi_calls"] == 0
     assert not tracer.errors
